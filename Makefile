@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test chaos-smoke failover-smoke campaign-smoke shard-smoke sharded-root-smoke goldens verify-goldens bench bench-full bench-json perf-smoke profile examples figures all clean
+.PHONY: install test chaos-smoke failover-smoke campaign-smoke shard-smoke sharded-root-smoke goldens verify-goldens bench bench-full bench-json perf-smoke bench-selftest profile examples figures all clean
 
 install:
 	$(PY) setup.py develop
@@ -31,7 +31,7 @@ campaign-smoke:
 	PYTHONPATH=src $(PY) -m repro campaign --smoke
 
 # Shard-parity smoke: quick figure2/figure8 points under the sharded
-# kernel (both sync policies) must hash bit-identical to serial runs.
+# kernel must hash bit-identical to serial runs.
 shard-smoke:
 	PYTHONPATH=src $(PY) -m repro shard-smoke
 	PYTHONPATH=src $(PY) -m repro shard-smoke --shards 4
@@ -68,6 +68,12 @@ bench-json:
 # Fail if the quick Figure 8 sweep regressed >25% vs BENCH_kernel.json.
 perf-smoke:
 	PYTHONPATH=src $(PY) benchmarks/test_perf_kernel.py --smoke
+
+# Self-test of the layered benchmark (BENCHMARK.json's ruler): drives
+# the contract command with --trace 1 on every workload at quick sizes,
+# so a change that breaks the ruler fails here first.
+bench-selftest:
+	PYTHONPATH=src $(PY) -m pytest benchmarks/layered/test_layered.py
 
 # cProfile the quick Figure 2 + Figure 8 sweeps and print the top 20
 # hot spots by cumulative time (see docs/REPRODUCING.md, Performance).

@@ -12,9 +12,8 @@ targets:
   ``jobs=4`` workers,
 * deterministic write-burst ablation rows (wire messages at burst
   1 / 8 / unbounded — simulation counts, not timings),
-* sharded-kernel rows, one per execution backend (``inproc`` and
-  ``process``), each with wall time, ``speedup_vs_serial`` /
-  ``overhead_vs_serial``, rollback behaviour, and the serial-parity bit,
+* one sharded-kernel row: serial wall time vs sharded wall time,
+  ``overhead_vs_serial``, and the serial-parity bit,
 * the speedup over the pre-optimization seed baseline,
 * a host fingerprint (CPU model + core count) so snapshots from
   different machines are never diffed against each other by accident.
@@ -176,67 +175,27 @@ def measure_burst_ablation() -> list[dict]:
 
 
 def measure_sharded_kernel() -> dict:
-    """Sharded-kernel rows: per-backend wall time, rollbacks, parity.
+    """Sharded-kernel row: serial wall vs sharded wall, overhead, parity.
 
     Runs the quick Figure 2 task queue serial, then under the 4-shard
-    optimistic kernel once per execution backend (``inproc`` cooperative
-    loops, ``process`` forked workers).  Each backend row carries its
-    own ``speedup_vs_serial`` *and* the honest inverse
-    ``overhead_vs_serial`` — on a single-CPU host the process backend
-    pays fork + IPC on top of the replay cost and will not beat serial;
-    the numbers say so instead of hiding it.  ``parity`` is the bit the
-    whole design hangs on: every backend's state hash must equal the
-    serial one.  ``effective`` records the backend that actually ran
-    (``process`` falls back to ``inproc`` on hosts without fork).
-
-    ``events_per_sec_serial`` divides the sharded kernel's executed
-    delivery count by the *serial* wall time — the throughput the plain
-    event loop achieves on the same logical delivery stream, which is
-    the denominator every ``speedup_vs_serial`` figure implies.
+    kernel.  ``overhead_vs_serial`` is sharded wall over serial wall —
+    cooperative in-process replicas do not beat the serial loop, and the
+    number says by how much.  ``parity`` is the bit the whole design
+    hangs on: the sharded state hash must equal the serial one.
     """
     from repro.workloads.task_queue import TaskQueueConfig, run_task_queue
 
     base = dict(system="gwc", n_nodes=9, total_tasks=64)
     serial = run_task_queue(TaskQueueConfig(**base))
     serial_s = _best_of(lambda: run_task_queue(TaskQueueConfig(**base)))
-    backends = []
-    executed = 0
-    for backend in ("inproc", "process"):
-        latest: dict = {}
-
-        def sharded() -> None:
-            latest["result"] = run_task_queue(
-                TaskQueueConfig(
-                    **base,
-                    shards=4,
-                    shard_policy="optimistic",
-                    shard_backend=backend,
-                )
-            )
-
-        wall_s = _best_of(sharded)
-        result = latest["result"]
-        stats = result.extra["shard_stats"]
-        executed = executed or stats["executed"]
-        backends.append(
-            {
-                "backend": backend,
-                "effective": result.extra["shard_backend"],
-                "wall_s": round(wall_s, 4),
-                "events_per_sec": round(stats["executed"] / wall_s),
-                "rollbacks": stats["rollbacks"],
-                "rollback_ratio": round(stats["rollback_ratio"], 4),
-                "speedup_vs_serial": round(serial_s / wall_s, 2),
-                "overhead_vs_serial": round(wall_s / serial_s, 2),
-                "parity": result.extra["state_hash"]
-                == serial.extra["state_hash"],
-            }
-        )
+    sharded = run_task_queue(TaskQueueConfig(**base, shards=4))
+    wall_s = _best_of(lambda: run_task_queue(TaskQueueConfig(**base, shards=4)))
     return {
-        "workload": "figure2 task queue (gwc, n=9, 64 tasks), 4 shards, optimistic",
+        "workload": "figure2 task queue (gwc, n=9, 64 tasks), 4 shards",
         "serial_wall_s": round(serial_s, 4),
-        "events_per_sec_serial": round(executed / serial_s),
-        "backends": backends,
+        "wall_s": round(wall_s, 4),
+        "overhead_vs_serial": round(wall_s / serial_s, 2),
+        "parity": sharded.extra["state_hash"] == serial.extra["state_hash"],
     }
 
 
@@ -285,7 +244,7 @@ def collect_snapshot() -> dict:
     combined_jobs4_s = _best_of(lambda: _quick_combined(jobs=4))
     combined_best_s = min(combined_serial_s, combined_jobs4_s)
     return {
-        "schema": 4,
+        "schema": 5,
         "generated_by": "benchmarks/test_perf_kernel.py",
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
@@ -367,7 +326,7 @@ def perf_smoke() -> int:
 def test_perf_snapshot_writes_bench_json():
     """Regenerate BENCH_kernel.json and sanity-check its contents."""
     snapshot = write_snapshot()
-    assert snapshot["schema"] == 4
+    assert snapshot["schema"] == 5
     assert snapshot["kernel"]["events_per_sec"] > 10_000
     assert snapshot["kernel"]["messages_per_sec"] > 10_000
     # The batching headline: train delivery must beat point-to-point
@@ -382,23 +341,12 @@ def test_perf_snapshot_writes_bench_json():
     assert [row["burst"] for row in ablation] == [1, 8, "unbounded"]
     origins = [row["origin_messages"] for row in ablation]
     assert origins[0] > origins[1] > origins[2]
-    # Schema-4 sharded rows: one row per backend, each with its own
-    # wall time, speedup, and the non-negotiable parity bit.
+    # The sharded row: both wall times and the non-negotiable parity bit.
     sharded = snapshot["sharded"]
     assert sharded["serial_wall_s"] > 0
-    assert sharded["events_per_sec_serial"] > 1_000
-    assert [row["backend"] for row in sharded["backends"]] == [
-        "inproc",
-        "process",
-    ]
-    for row in sharded["backends"]:
-        assert row["parity"] is True
-        assert row["effective"] in ("inproc", "process")
-        assert row["events_per_sec"] > 100
-        assert row["rollbacks"] >= 0
-        assert 0.0 <= row["rollback_ratio"]
-        assert row["speedup_vs_serial"] > 0
-        assert row["overhead_vs_serial"] > 0
+    assert sharded["wall_s"] > 0
+    assert sharded["overhead_vs_serial"] > 0
+    assert sharded["parity"] is True
     assert snapshot["host"]["cpu_model"]
     assert snapshot["sweeps"]["combined_serial_s"] > 0
     assert BENCH_JSON.exists()
@@ -406,36 +354,11 @@ def test_perf_snapshot_writes_bench_json():
     print(json.dumps(snapshot, indent=2))
 
 
-def shard_backend_gate(snapshot: dict) -> None:
-    """Soft wall-clock gate on the process backend — prints, never fails.
-
-    On a multi-core host the forked workers should keep the quick-scale
-    sharded run within 2x of serial; on a 1-CPU host (like the reference
-    CI box) fork + IPC + replay cannot win and the gate prints MISS.
-    Informational either way: the hard guarantees (parity, tier-1
-    tests) live elsewhere.
-    """
-    sharded = snapshot["sharded"]
-    row = next(
-        (r for r in sharded["backends"] if r["backend"] == "process"), None
-    )
-    if row is None:
-        return
-    limit = 2.0 * sharded["serial_wall_s"]
-    verdict = "HIT" if row["wall_s"] <= limit else "MISS"
-    print(
-        f"shard-backend gate (soft): process backend {row['wall_s']:.3f}s "
-        f"vs 2x serial {limit:.3f}s on {os.cpu_count()} CPU(s) "
-        f"(effective={row['effective']}) -> {verdict}"
-    )
-
-
 def main(argv: list[str]) -> int:
     if "--smoke" in argv:
         return perf_smoke()
     snapshot = write_snapshot()
     print(json.dumps(snapshot, indent=2))
-    shard_backend_gate(snapshot)
     return 0
 
 

@@ -74,22 +74,6 @@ def _add_shards(parser: argparse.ArgumentParser) -> None:
             "is bit-identical at any shard count"
         ),
     )
-    parser.add_argument(
-        "--shard-policy",
-        choices=("optimistic", "conservative"),
-        default="optimistic",
-        help="shard sync policy: Time Warp rollback or lookahead windows",
-    )
-    parser.add_argument(
-        "--shard-backend",
-        choices=("inproc", "process"),
-        default=None,
-        help=(
-            "shard execution backend: cooperative in-process loops or one "
-            "forked worker per shard (default: $REPRO_SHARD_BACKEND, else "
-            "inproc); state hashes are bit-identical either way"
-        ),
-    )
 
 
 def _cmd_figure1(args: argparse.Namespace) -> int:
@@ -117,8 +101,6 @@ def _cmd_figure2(args: argparse.Namespace) -> int:
         total_tasks=tasks,
         jobs=args.jobs,
         shards=args.shards,
-        shard_policy=args.shard_policy,
-        shard_backend=args.shard_backend,
     )
     print(figure2.render(rows))
     if args.chart:
@@ -144,8 +126,6 @@ def _cmd_figure8(args: argparse.Namespace) -> int:
         data_size=data,
         jobs=args.jobs,
         shards=args.shards,
-        shard_policy=args.shard_policy,
-        shard_backend=args.shard_backend,
     )
     print(figure8.render(rows))
     if args.chart:
@@ -163,61 +143,42 @@ def _cmd_shard_smoke(args: argparse.Namespace) -> int:
     from repro.workloads.pipeline import PipelineConfig, run_pipeline
     from repro.workloads.task_queue import TaskQueueConfig, run_task_queue
 
-    from repro.experiments.runner import default_shard_backend
-
     shards = args.shards or 2
-    backend = args.shard_backend or default_shard_backend()
     failures = 0
-    print(f"shard-parity smoke ({shards} shards, {backend} backend, vs serial):")
+    print(f"shard-parity smoke ({shards} shards vs serial):")
     for n_nodes in (3, 5, 9):
         serial = run_task_queue(
             TaskQueueConfig(system="gwc", n_nodes=n_nodes, total_tasks=32)
         )
-        for policy in ("optimistic", "conservative"):
-            sharded = run_task_queue(
-                TaskQueueConfig(
-                    system="gwc",
-                    n_nodes=n_nodes,
-                    total_tasks=32,
-                    shards=shards,
-                    shard_policy=policy,
-                    shard_backend=backend,
-                )
-            )
-            ok = sharded.extra["state_hash"] == serial.extra["state_hash"]
-            failures += not ok
-            stats = sharded.extra.get("shard_stats", {})
-            print(
-                f"  figure2 n={n_nodes:<2d} {policy:<12s} "
-                f"{'OK  ' if ok else 'FAIL'} "
-                f"backend={sharded.extra.get('shard_backend', 'serial')} "
-                f"rollbacks={stats.get('rollbacks', 0)} "
-                f"routed={stats.get('routed', 0)}"
-            )
-    serial = run_pipeline(
-        PipelineConfig(system="gwc_optimistic", n_nodes=8, data_size=64)
-    )
-    for policy in ("optimistic", "conservative"):
-        sharded = run_pipeline(
-            PipelineConfig(
-                system="gwc_optimistic",
-                n_nodes=8,
-                data_size=64,
-                shards=shards,
-                shard_policy=policy,
-                shard_backend=backend,
+        sharded = run_task_queue(
+            TaskQueueConfig(
+                system="gwc", n_nodes=n_nodes, total_tasks=32, shards=shards
             )
         )
         ok = sharded.extra["state_hash"] == serial.extra["state_hash"]
         failures += not ok
         stats = sharded.extra.get("shard_stats", {})
         print(
-            f"  figure8 n=8  {policy:<12s} "
-            f"{'OK  ' if ok else 'FAIL'} "
-            f"backend={sharded.extra.get('shard_backend', 'serial')} "
-            f"rollbacks={stats.get('rollbacks', 0)} "
+            f"  figure2 n={n_nodes:<2d} {'OK  ' if ok else 'FAIL'} "
+            f"rounds={stats.get('rounds', 0)} "
             f"routed={stats.get('routed', 0)}"
         )
+    serial = run_pipeline(
+        PipelineConfig(system="gwc_optimistic", n_nodes=8, data_size=64)
+    )
+    sharded = run_pipeline(
+        PipelineConfig(
+            system="gwc_optimistic", n_nodes=8, data_size=64, shards=shards
+        )
+    )
+    ok = sharded.extra["state_hash"] == serial.extra["state_hash"]
+    failures += not ok
+    stats = sharded.extra.get("shard_stats", {})
+    print(
+        f"  figure8 n=8  {'OK  ' if ok else 'FAIL'} "
+        f"rounds={stats.get('rounds', 0)} "
+        f"routed={stats.get('routed', 0)}"
+    )
     print("PARITY OK" if failures == 0 else f"PARITY FAILED ({failures})")
     return 0 if failures == 0 else 1
 
@@ -637,7 +598,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 trial.index,
                 trial.kind,
                 trial.profile,
-                trial.system if trial.kind == "chaos" else trial.shard_policy,
+                (
+                    trial.system
+                    if trial.kind == "chaos"
+                    else f"{trial.system} x{trial.shards}"
+                ),
                 trial.topology,
                 "ok" if outcome.ok else "FAIL",
                 "/".join(outcome.signature) if outcome.signature else "-",
@@ -660,7 +625,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 "trial",
                 "kind",
                 "profile",
-                "system/policy",
+                "system",
                 "topology",
                 "status",
                 "signature",
@@ -862,12 +827,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     psm.add_argument(
         "--shards", type=int, default=2, metavar="N", help="shard count"
-    )
-    psm.add_argument(
-        "--shard-backend",
-        choices=("inproc", "process"),
-        default=None,
-        help="shard execution backend (default: $REPRO_SHARD_BACKEND)",
     )
     psm.set_defaults(fn=_cmd_shard_smoke)
 

@@ -86,8 +86,8 @@ class GvtMonitor:
 
     Hook it onto :attr:`repro.sim.shards.ShardedSimulator.on_gvt`; it
     raises the moment a round's GVT estimate is below the previous
-    round's (fossil collection would then have committed uncommitted
-    history).
+    round's (an event would then have appeared below a horizon the
+    shards had already drained to).
     """
 
     def __init__(self, max_evidence: int = DEFAULT_EVIDENCE) -> None:

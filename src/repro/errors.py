@@ -25,8 +25,8 @@ class ShardingError(SimulationError):
 
     Raised for unshardable configurations (non-message-pure consistency
     systems, random loss models, zero cross-shard lookahead) and for
-    invariant violations such as a straggler under the conservative
-    policy, which the lookahead bound proves impossible.
+    invariant violations such as a straggler, which the lookahead bound
+    proves impossible.
     """
 
 

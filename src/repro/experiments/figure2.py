@@ -18,12 +18,7 @@ from repro.experiments.common import (
     network_sizes_fig2,
     total_tasks_fig2,
 )
-from repro.experiments.runner import (
-    SweepExecutor,
-    clamp_oversubscription,
-    default_shard_backend,
-    default_shards,
-)
+from repro.experiments.runner import SweepExecutor, default_shards
 from repro.metrics.report import format_table
 from repro.params import PAPER_PARAMS, MachineParams
 from repro.workloads.task_queue import TaskQueueConfig, run_task_queue
@@ -40,7 +35,7 @@ class Figure2Row:
 
 
 def _figure2_point(
-    point: tuple[int, int, float, float, MachineParams, int, str, "str | None"],
+    point: tuple[int, int, float, float, MachineParams, int],
 ) -> Figure2Row:
     """One network size's three series (module-level: picklable)."""
     (
@@ -50,8 +45,6 @@ def _figure2_point(
         produce_ratio,
         params,
         shards,
-        policy,
-        backend,
     ) = point
     base = dict(
         n_nodes=n_nodes,
@@ -71,8 +64,6 @@ def _figure2_point(
             system="gwc",
             params=params,
             shards=shards,
-            shard_policy=policy,
-            shard_backend=backend,
             **base,
         )
     )
@@ -98,8 +89,6 @@ def run_figure2(
     params: MachineParams = PAPER_PARAMS,
     jobs: int | None = None,
     shards: int | None = None,
-    shard_policy: str = "optimistic",
-    shard_backend: str | None = None,
 ) -> list[Figure2Row]:
     """Sweep network sizes for the GWC and entry consistency series.
 
@@ -111,17 +100,12 @@ def run_figure2(
     (default: the ``REPRO_JOBS`` env var) fans them across worker
     processes without changing any result.  ``shards`` (default: the
     ``REPRO_SHARDS`` env var) runs each GWC point under the sharded
-    kernel on ``shard_backend`` (default: ``REPRO_SHARD_BACKEND``) —
-    results are bit-identical to serial by construction.
+    kernel — results are bit-identical to serial by construction.
     """
     sizes = sizes if sizes is not None else network_sizes_fig2()
     total_tasks = total_tasks if total_tasks is not None else total_tasks_fig2()
     shards = default_shards() if shards is None else max(1, int(shards))
-    backend = (
-        default_shard_backend() if shard_backend is None else shard_backend
-    )
     executor = SweepExecutor(jobs)
-    executor.jobs = clamp_oversubscription(executor.jobs, shards, backend)
     points = [
         (
             n_nodes,
@@ -130,8 +114,6 @@ def run_figure2(
             produce_ratio,
             params,
             shards,
-            shard_policy,
-            backend,
         )
         for n_nodes in sizes
     ]

@@ -21,12 +21,7 @@ from repro.experiments.common import (
     data_size_fig8,
     network_sizes_fig8,
 )
-from repro.experiments.runner import (
-    SweepExecutor,
-    clamp_oversubscription,
-    default_shard_backend,
-    default_shards,
-)
+from repro.experiments.runner import SweepExecutor, default_shards
 from repro.metrics.report import format_table
 from repro.params import PAPER_PARAMS, MachineParams
 from repro.workloads.pipeline import PipelineConfig, run_pipeline
@@ -45,9 +40,7 @@ class Figure8Row:
 
 
 def _figure8_point(
-    point: tuple[
-        int, int, float, float, int, int, MachineParams, int, str, "str | None"
-    ],
+    point: tuple[int, int, float, float, int, int, MachineParams, int],
 ) -> Figure8Row:
     """One network size's four series (module-level: picklable)."""
     (
@@ -59,8 +52,6 @@ def _figure8_point(
         block_bytes,
         params,
         shards,
-        policy,
-        backend,
     ) = point
     base = dict(
         n_nodes=n_nodes,
@@ -81,8 +72,6 @@ def _figure8_point(
             system="gwc_optimistic",
             params=params,
             shards=shards,
-            shard_policy=policy,
-            shard_backend=backend,
             **base,
         )
     )
@@ -91,8 +80,6 @@ def _figure8_point(
             system="gwc",
             params=params,
             shards=shards,
-            shard_policy=policy,
-            shard_backend=backend,
             **base,
         )
     )
@@ -122,8 +109,6 @@ def run_figure8(
     params: MachineParams = PAPER_PARAMS,
     jobs: int | None = None,
     shards: int | None = None,
-    shard_policy: str = "optimistic",
-    shard_backend: str | None = None,
 ) -> list[Figure8Row]:
     """Sweep network sizes for the four Figure 8 series.
 
@@ -131,18 +116,13 @@ def run_figure8(
     (default: the ``REPRO_JOBS`` env var) fans them across worker
     processes without changing any result.  ``shards`` (default: the
     ``REPRO_SHARDS`` env var) runs the GWC-family points under the
-    sharded kernel on ``shard_backend`` (default:
-    ``REPRO_SHARD_BACKEND``) — results are bit-identical to serial by
+    sharded kernel — results are bit-identical to serial by
     construction.
     """
     sizes = sizes if sizes is not None else network_sizes_fig8()
     data_size = data_size if data_size is not None else data_size_fig8()
     shards = default_shards() if shards is None else max(1, int(shards))
-    backend = (
-        default_shard_backend() if shard_backend is None else shard_backend
-    )
     executor = SweepExecutor(jobs)
-    executor.jobs = clamp_oversubscription(executor.jobs, shards, backend)
     points = [
         (
             n_nodes,
@@ -153,8 +133,6 @@ def run_figure8(
             block_bytes,
             params,
             shards,
-            shard_policy,
-            backend,
         )
         for n_nodes in sizes
     ]

@@ -34,9 +34,6 @@ JOBS_ENV = "REPRO_JOBS"
 #: Environment variable selecting the default shard count for workloads
 #: that support the sharded kernel (see :mod:`repro.sim.shards`).
 SHARDS_ENV = "REPRO_SHARDS"
-#: Environment variable selecting the default shard execution backend
-#: (``inproc`` or ``process``; see :mod:`repro.sim.procshards`).
-BACKEND_ENV = "REPRO_SHARD_BACKEND"
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -68,49 +65,6 @@ def default_shards() -> int:
             f"{SHARDS_ENV} must be an integer, got {raw!r}"
         ) from None
     return max(1, shards)
-
-
-def default_shard_backend() -> str:
-    """Shard backend from ``REPRO_SHARD_BACKEND`` (absent -> ``inproc``)."""
-    raw = os.environ.get(BACKEND_ENV, "").strip()
-    if not raw:
-        return "inproc"
-    if raw not in ("inproc", "process"):
-        raise ExperimentError(
-            f"{BACKEND_ENV} must be 'inproc' or 'process', got {raw!r}"
-        )
-    return raw
-
-
-def clamp_oversubscription(
-    jobs: int,
-    shards: int,
-    backend: str,
-    available: int | None = None,
-) -> int:
-    """Clamp sweep ``jobs`` so jobs x shard-workers fits the CPU count.
-
-    Only bites when the *process* shard backend is in play: each sweep
-    worker would fork ``shards`` shard workers of its own, so running
-    ``jobs`` sweep points concurrently costs ``jobs * shards`` processes.
-    (In practice the shard backend also degrades to in-process inside a
-    daemonic sweep worker, so the clamp mostly prevents pointless fan-out
-    rather than a fork bomb — but either way it should not be silent.)
-    Returns the adjusted job count, announcing any change with the
-    standard one-line ``[sweep]`` notice.
-    """
-    if backend != "process" or jobs <= 1 or shards <= 1:
-        return jobs
-    if available is None:
-        available = os.cpu_count() or 1
-    if jobs * shards <= available:
-        return jobs
-    clamped = max(1, available // shards)
-    SweepExecutor._notice(
-        f"{jobs} jobs x {shards} shard processes oversubscribes "
-        f"{available} CPU(s); clamping to {clamped} job(s)"
-    )
-    return clamped
 
 
 class SweepExecutor:

@@ -3,8 +3,8 @@
 Where ``repro chaos`` replays a fixed hand-written scenario matrix,
 a *campaign* generates seeded random fault plans from weighted
 profiles, runs N trials across systems x topologies (plus sharded
-task-queue trials under both shard-sync policies), holds every trial to
-the online oracles of :mod:`repro.consistency.oracles`, and — when a
+task-queue trials at two shard counts), holds every trial to the
+online oracles of :mod:`repro.consistency.oracles`, and — when a
 trial fails — delta-debugs the fault plan down to a 1-minimal failing
 schedule and writes a reproducible repro bundle through the atomic
 :class:`~repro.goldens.writer.RunWriter` protocol.
@@ -292,7 +292,6 @@ class CampaignConfig:
     horizon_units: float = 400.0
     #: Sharded task-queue trials appended after the chaos trials.
     shard_trials: int = 2
-    shard_policies: tuple[str, ...] = ("optimistic", "conservative")
     minimize: bool = True
     probe_budget: int = DEFAULT_PROBE_BUDGET
     #: Where failing trials' repro bundles land (None = don't write).
@@ -324,7 +323,6 @@ class CampaignTrial:
     seed: int
     config: ChaosConfig | None = None
     shards: int = 0
-    shard_policy: str = ""
 
 
 def _campaign_profiles(config: CampaignConfig) -> tuple[str, ...]:
@@ -418,7 +416,6 @@ def campaign_trials(config: CampaignConfig) -> list[CampaignTrial]:
             )
         )
     for j in range(config.shard_trials):
-        policy = config.shard_policies[j % len(config.shard_policies)]
         trials.append(
             CampaignTrial(
                 index=config.trials + j,
@@ -428,8 +425,7 @@ def campaign_trials(config: CampaignConfig) -> list[CampaignTrial]:
                 workload="task_queue",
                 topology="mesh_torus",
                 seed=config.seed * 1009 + 9000 + j,
-                shards=2 + 2 * (j // len(config.shard_policies) % 2),
-                shard_policy=policy,
+                shards=2 + 2 * (j % 2),
             )
         )
     return trials
@@ -461,7 +457,7 @@ def _zero_run_values(trial: CampaignTrial, detail: str) -> dict[str, Any]:
     scenario = (
         trial.config.scenario
         if trial.config is not None
-        else f"shard:{trial.shard_policy}x{trial.shards}"
+        else f"shard:conservativex{trial.shards}"
     )
     values: dict[str, Any] = dict.fromkeys(
         (
@@ -530,8 +526,7 @@ def run_shard_trial(
     schema values)``.
     """
     from repro.consistency.oracles import GvtMonitor
-    from repro.sim.procshards import make_sharded_kernel
-    from repro.sim.shards import ShardPlan
+    from repro.sim.shards import ShardedSimulator, ShardPlan
 
     n_nodes = max(3, min(config.n_nodes, 5))
     total_tasks = 24
@@ -552,12 +547,9 @@ def run_shard_trial(
     )
     serial = tq_wl.run_task_queue(tq_config)
     monitor = GvtMonitor()
-    # Backend resolves via REPRO_SHARD_BACKEND; every oracle below is
-    # backend-independent (final-state values plus GVT monotonicity).
-    kernel = make_sharded_kernel(
+    kernel = ShardedSimulator(
         lambda owned: tq_wl._build_task_queue(tq_config, owned),
         ShardPlan.from_groups(n_nodes, trial.shards),
-        policy=trial.shard_policy,
     )
     kernel.on_gvt = monitor.note
     detail = ""
@@ -646,7 +638,7 @@ def run_campaign(
             campaign.outcomes.append(outcome)
             say(
                 f"[campaign] trial {trial.index:<3d} shard "
-                f"{trial.shard_policy:<12s} {'ok' if ok else 'FAIL'}"
+                f"x{trial.shards:<11d} {'ok' if ok else 'FAIL'}"
             )
             continue
         assert trial.config is not None

@@ -26,15 +26,11 @@ from typing import Any, Sequence
 from repro.errors import ExperimentError
 from repro.sim.statehash import hash_payload
 
-#: Volatile paths for ``BENCH_kernel.json`` (schema 4): everything
+#: Volatile paths for ``BENCH_kernel.json`` (schema 5): everything
 #: measured in wall-clock seconds (or derived from such a measurement)
-#: plus the host fingerprint.  Per-backend sharded rows scrub their
-#: timings *and* their rollback counters: the process backend's round
-#: boundaries come from a conservative GVT estimate, so its rollback
-#: totals are backend-shaped, and ``effective`` depends on whether the
-#: host can fork at all.  What stays in the hash — the workload line,
-#: the requested backend names, and each row's parity bit — is the
-#: snapshot's portable semantic content.
+#: plus the host fingerprint.  What stays in the hash — the schema, the
+#: burst ablation counts, the sharded workload line and its parity bit
+#: — is the snapshot's portable semantic content.
 BENCH_VOLATILE: tuple[str, ...] = (
     "python",
     "cpu_count",
@@ -43,14 +39,8 @@ BENCH_VOLATILE: tuple[str, ...] = (
     "sweeps",
     "baseline",
     "sharded.serial_wall_s",
-    "sharded.events_per_sec_serial",
-    "sharded.backends.effective",
-    "sharded.backends.wall_s",
-    "sharded.backends.events_per_sec",
-    "sharded.backends.rollbacks",
-    "sharded.backends.rollback_ratio",
-    "sharded.backends.speedup_vs_serial",
-    "sharded.backends.overhead_vs_serial",
+    "sharded.wall_s",
+    "sharded.overhead_vs_serial",
 )
 
 

@@ -230,15 +230,22 @@ def _generate_failover(run: RunWriter) -> None:
 
 
 def _generate_shard_smoke(run: RunWriter) -> None:
-    """Shard-parity fileset: serial vs sharded canonical state hashes.
-
-    Pinned to the in-process backend: the golden must not depend on the
-    ``REPRO_SHARD_BACKEND`` environment or on whether the host can fork
-    (the hashes would match anyway — that is the parity guarantee — but
-    the golden's rollback/routed counters are backend-shaped).
-    """
+    """Shard-parity fileset: serial vs sharded canonical state hashes."""
     from repro.workloads.pipeline import PipelineConfig, run_pipeline
     from repro.workloads.task_queue import TaskQueueConfig, run_task_queue
+
+    def parity_record(
+        workload: str, n_nodes: int, shards: int, serial: Any, sharded: Any
+    ) -> dict[str, Any]:
+        return {
+            "workload": workload,
+            "n_nodes": n_nodes,
+            "shards": shards,
+            "serial_hash": serial.extra["state_hash"],
+            "sharded_hash": sharded.extra["state_hash"],
+            "parity": sharded.extra["state_hash"] == serial.extra["state_hash"],
+            "routed": sharded.extra.get("shard_stats", {}).get("routed", 0),
+        }
 
     records: list[dict[str, Any]] = []
     for n_nodes in (3, 5, 9):
@@ -246,61 +253,23 @@ def _generate_shard_smoke(run: RunWriter) -> None:
             TaskQueueConfig(system="gwc", n_nodes=n_nodes, total_tasks=32)
         )
         for shards in (2, 4):
-            for policy in ("optimistic", "conservative"):
-                sharded = run_task_queue(
-                    TaskQueueConfig(
-                        system="gwc",
-                        n_nodes=n_nodes,
-                        total_tasks=32,
-                        shards=shards,
-                        shard_policy=policy,
-                        shard_backend="inproc",
-                    )
+            sharded = run_task_queue(
+                TaskQueueConfig(
+                    system="gwc", n_nodes=n_nodes, total_tasks=32, shards=shards
                 )
-                stats = sharded.extra.get("shard_stats", {})
-                records.append(
-                    {
-                        "workload": "task_queue",
-                        "n_nodes": n_nodes,
-                        "shards": shards,
-                        "policy": policy,
-                        "serial_hash": serial.extra["state_hash"],
-                        "sharded_hash": sharded.extra["state_hash"],
-                        "parity": sharded.extra["state_hash"]
-                        == serial.extra["state_hash"],
-                        "rollbacks": stats.get("rollbacks", 0),
-                        "routed": stats.get("routed", 0),
-                    }
-                )
+            )
+            records.append(
+                parity_record("task_queue", n_nodes, shards, serial, sharded)
+            )
     serial = run_pipeline(
         PipelineConfig(system="gwc_optimistic", n_nodes=8, data_size=64)
     )
-    for policy in ("optimistic", "conservative"):
-        sharded = run_pipeline(
-            PipelineConfig(
-                system="gwc_optimistic",
-                n_nodes=8,
-                data_size=64,
-                shards=2,
-                shard_policy=policy,
-                shard_backend="inproc",
-            )
+    sharded = run_pipeline(
+        PipelineConfig(
+            system="gwc_optimistic", n_nodes=8, data_size=64, shards=2
         )
-        stats = sharded.extra.get("shard_stats", {})
-        records.append(
-            {
-                "workload": "pipeline",
-                "n_nodes": 8,
-                "shards": 2,
-                "policy": policy,
-                "serial_hash": serial.extra["state_hash"],
-                "sharded_hash": sharded.extra["state_hash"],
-                "parity": sharded.extra["state_hash"]
-                == serial.extra["state_hash"],
-                "rollbacks": stats.get("rollbacks", 0),
-                "routed": stats.get("routed", 0),
-            }
-        )
+    )
+    records.append(parity_record("pipeline", 8, 2, serial, sharded))
     if not all(record["parity"] for record in records):
         raise ExperimentError(
             "shard-parity violated while generating goldens; refusing to "
@@ -393,88 +362,12 @@ def _generate_sharded_root(run: RunWriter) -> None:
     run.write_json("sharded_root.json", {"records": records})
 
 
-def _generate_shard_backend(run: RunWriter) -> None:
-    """Serial-vs-process state-hash parity manifest (fixed seed/topology).
-
-    The 14th surface pins the cross-*process* path specifically: each
-    record runs one workload serial and once under the process backend
-    (forked workers, real IPC) and snapshots both canonical state
-    hashes.  The hashes are backend-independent by construction — on a
-    host that cannot fork, the request falls back to the in-process
-    loops and produces the *same* hashes, so the golden stays
-    byte-portable; what it guards is the hash pair itself drifting.
-    """
-    from repro.workloads.pipeline import PipelineConfig, run_pipeline
-    from repro.workloads.task_queue import TaskQueueConfig, run_task_queue
-
-    records: list[dict[str, Any]] = []
-    cases = (
-        ("task_queue", "mesh_torus", 0),
-        ("task_queue", "ring", 1),
-        ("pipeline", "mesh_torus", 0),
-    )
-    for workload, topology, seed in cases:
-        if workload == "task_queue":
-            base = dict(
-                system="gwc",
-                n_nodes=5,
-                total_tasks=32,
-                topology=topology,
-                seed=seed,
-            )
-            serial = run_task_queue(TaskQueueConfig(**base))
-            sharded = run_task_queue(
-                TaskQueueConfig(
-                    **base,
-                    shards=2,
-                    shard_policy="optimistic",
-                    shard_backend="process",
-                )
-            )
-        else:
-            base = dict(
-                system="gwc_optimistic",
-                n_nodes=8,
-                data_size=64,
-                topology=topology,
-                seed=seed,
-            )
-            serial = run_pipeline(PipelineConfig(**base))
-            sharded = run_pipeline(
-                PipelineConfig(
-                    **base,
-                    shards=2,
-                    shard_policy="optimistic",
-                    shard_backend="process",
-                )
-            )
-        records.append(
-            {
-                "workload": workload,
-                "topology": topology,
-                "seed": seed,
-                "shards": 2,
-                "policy": "optimistic",
-                "serial_hash": serial.extra["state_hash"],
-                "process_hash": sharded.extra["state_hash"],
-                "parity": sharded.extra["state_hash"]
-                == serial.extra["state_hash"],
-            }
-        )
-    if not all(record["parity"] for record in records):
-        raise ExperimentError(
-            "serial-vs-process parity violated while generating goldens; "
-            "refusing to snapshot a broken backend"
-        )
-    run.write_json("shard_backend.json", {"records": records})
-
-
 def _generate_bench_kernel(run: RunWriter) -> None:
     """Semantic projection of ``BENCH_kernel.json``.
 
     The live snapshot keeps its host fingerprint and wall-clock numbers;
     the golden records only the host-portable fields (schema, burst
-    ablation counts, sharded rollback/parity behaviour) obtained by
+    ablation counts, sharded parity) obtained by
     applying :data:`BENCH_VOLATILE` — the exact scrub the manifest hash
     uses, so drift here means a semantic benchmark change, never a
     slower machine.
@@ -517,8 +410,6 @@ SURFACES: tuple[Surface, ...] = (
             "threshold / shootout / echo-blocking ablations"),
     Surface("shard_smoke", _generate_shard_smoke,
             "sharded-kernel parity hashes vs serial"),
-    Surface("shard_backend", _generate_shard_backend,
-            "serial-vs-process backend state-hash parity manifest"),
     Surface("sharded_root", _generate_sharded_root,
             "sharded-root serial-parity hashes + handoff counters"),
     Surface("failover", _generate_failover,

@@ -54,31 +54,6 @@ class Message:
         self.msg_id = _next_message_id() if msg_id is None else msg_id
         self.sent_at = sent_at
 
-    def __getstate__(self) -> tuple:
-        """Explicit slot tuple: slot-stable pickling for the process
-        shard backend (and ~2x cheaper than the generic slots protocol
-        on the per-round IPC path)."""
-        return (
-            self.src,
-            self.dst,
-            self.kind,
-            self.payload,
-            self.size_bytes,
-            self.msg_id,
-            self.sent_at,
-        )
-
-    def __setstate__(self, state: tuple) -> None:
-        (
-            self.src,
-            self.dst,
-            self.kind,
-            self.payload,
-            self.size_bytes,
-            self.msg_id,
-            self.sent_at,
-        ) = state
-
     def __repr__(self) -> str:
         return (
             f"Message(src={self.src}, dst={self.dst}, kind={self.kind!r}, "

@@ -141,8 +141,7 @@ class Network:
         self._router: "ShardRouter | None" = None  # noqa: F821
         #: Per-source-node send counters, used only under a shard
         #: router: the third element of each arrival-band ordering
-        #: token.  Deterministic replay of a replica reproduces the
-        #: exact same counter values.
+        #: token.
         self._node_send_seq: dict[int, int] = {}
 
     def install_injector(self, injector: "FaultInjector") -> None:  # noqa: F821
@@ -296,9 +295,8 @@ class Network:
             # send index) token.  The token reproduces the serial
             # kernel's ordering, where a delivery's sequence number is
             # allocated at send time, while staying independent of any
-            # replica-local counter — so a front replica and its
-            # replaying base stamp identical keys, and arrivals from
-            # different shards order consistently at equal times.
+            # replica-local counter — so arrivals from different shards
+            # order consistently at equal times.
             seq_map = self._node_send_seq
             idx = seq_map.get(src, 0)
             seq_map[src] = idx + copies

@@ -66,17 +66,6 @@ class Event:
         state = "cancelled" if self.cancelled else "pending"
         return f"Event(time={self.time}, priority={self.priority}, seq={self.seq}, {state})"
 
-    def __lt__(self, other: "Event") -> bool:
-        # Heap entries only fall through to comparing their Event slot
-        # when two full (time, priority, seq) keys are equal.  That
-        # happens in exactly one case: a rolled-back shard re-emitting
-        # an annihilated delivery, whose replayed key is identical by
-        # design while the cancelled original still sits in the heap
-        # (see repro.sim.shards).  Their relative order is irrelevant —
-        # the cancelled one is skipped — so any deterministic answer
-        # works.
-        return False
-
     def cancel(self) -> None:
         """Mark this event so the queue skips it when popped.
 
@@ -177,24 +166,20 @@ class EventQueue:
         priority: int,
         seq: Any,
         fn: Callable[[], Any],
-    ) -> Event:
+    ) -> None:
         """Schedule ``fn`` under a caller-supplied ``(time, priority, seq)`` key.
 
         Used by the sharded kernel to inject cross-shard deliveries:
         the caller supplies the full key — a dedicated priority band
         plus a send-order token in the ``seq`` slot (any value totally
-        ordered within its band) — so injected events never consume
-        this queue's local counter, which keeps deterministic replay
-        exact.  The returned handle is cancellable, which is how
-        anti-messages annihilate a not-yet-executed delivery.
+        ordered within its band, unique per key) — so injected events
+        never consume this queue's local counter.  No cancellable
+        handle, as with :meth:`push_fn`.
         """
         if time != time:  # NaN guard
             raise SimulationError("event time is NaN")
-        event = Event(time, priority, seq, fn)
-        event._queue = self
-        heappush(self._heap, (time, priority, seq, event))
+        heappush(self._heap, (time, priority, seq, fn))
         self._live += 1
-        return event
 
     def pop(self) -> Event:
         """Remove and return the earliest non-cancelled event.

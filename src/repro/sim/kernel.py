@@ -43,11 +43,6 @@ class Simulator:
         self._queue = EventQueue()
         self._now = 0.0
         self._running = False
-        #: Key of the event currently (or most recently) executing under
-        #: :meth:`run_window` — the shard router reads it to stamp the
-        #: emitting event onto cross-shard sends.  Plain :meth:`run`
-        #: leaves it ``None``; serial runs never pay for the bookkeeping.
-        self.current_key: EventKey | None = None
         self.rng = RngStreams(seed)
         self.tracer = tracer if tracer is not None else NullTracer()
         #: Cached ``tracer.enabled`` so hot paths pay one attribute read
@@ -251,30 +246,19 @@ class Simulator:
             self._running = False
         return self._now
 
-    def run_window(
-        self,
-        limit: EventKey,
-        max_events: int | None = None,
-    ) -> tuple[int, EventKey | None]:
+    def run_window(self, limit: EventKey) -> tuple[int, EventKey | None]:
         """Drain every event whose ``(time, priority, seq)`` key is ``< limit``.
 
         The shard-aware run facade: a shard's local virtual time (LVT)
         advances through this method, bounded by the coordinator's
-        current horizon key (GVT plus the sync policy's window).  The
-        loop is the same manually inlined, closure-free pop/advance
-        cycle as :meth:`run` — the compile-ready hot path — extended
-        with a full-key bound (so a replay can stop *exactly* before a
-        straggler's key, mid-timestamp) and with ``current_key``
-        tracking so the shard router can attribute emitted messages to
-        the event that sent them.
+        current horizon key (GVT plus the lookahead).  The loop is the
+        same manually inlined, closure-free pop/advance cycle as
+        :meth:`run`, extended with a full-key bound.
 
         Args:
             limit: Exclusive upper bound key.  Events compare by
                 ``(time, priority, seq)``; an event equal to ``limit``
                 does not fire.
-            max_events: Optional budget; the drain stops (without error)
-                after this many events, used to amortize checkpoint
-                replica catch-up.
 
         Returns:
             ``(fired, last_key)``: how many events fired and the key of
@@ -288,14 +272,11 @@ class Simulator:
         heappop = heapq.heappop
         event_cls = Event
         limit_time, limit_priority, limit_seq = limit
-        budget = max_events if max_events is not None else -1
         fired = 0
         popped = 0
         last_key: EventKey | None = None
         try:
             while heap:
-                if fired == budget:
-                    break
                 entry = heap[0]
                 target = entry[3]
                 is_event = target.__class__ is event_cls
@@ -319,7 +300,6 @@ class Simulator:
                     )
                 self._now = time
                 last_key = (time, entry[1], entry[2])
-                self.current_key = last_key
                 if is_event:
                     target._queue = None
                     target.fn()

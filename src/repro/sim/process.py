@@ -16,19 +16,6 @@ Yielded value            Meaning
 
 Exceptions raised inside a process propagate out of :meth:`Simulator.run`,
 so model bugs fail tests loudly instead of silently killing a process.
-
-Snapshot/restore (Time Warp rollback support)
----------------------------------------------
-
-A generator frame cannot be copied or pickled, so a process cannot be
-checkpointed by value.  Instead, rollback works by *replay from
-checkpoint*: processes are deterministic functions of their spawn
-arguments and the event sequence that drove them, so the sharded kernel
-(:mod:`repro.sim.shards`) restores a shard by rebuilding its replica
-machine from the same factory and re-delivering the logged cross-shard
-inputs up to the rollback point.  :meth:`Process.snapshot` exposes the
-observable progress state — the part of a process that a correct replay
-must reproduce exactly — for parity checks and diagnostics.
 """
 
 from __future__ import annotations
@@ -108,18 +95,6 @@ class Process:
         self.gen.close()
         if not self._completion.resolved:
             self._completion.resolve(None)
-
-    def snapshot(self) -> tuple[str, int, bool, bool, Any]:
-        """Observable progress state: ``(name, steps, finished, killed, result)``.
-
-        Two executions of the same process that received the same event
-        sequence produce equal snapshots; the sharded kernel's replay
-        path relies on this to validate that a rollback restored a shard
-        to exactly the pre-straggler state.  There is no ``restore``
-        counterpart by design — a generator frame cannot be rebuilt from
-        data, only re-derived by deterministic re-execution.
-        """
-        return (self.name, self.steps, self.finished, self.killed, self.result)
 
     def describe_wait(self) -> str:
         """Human-readable account of what this process is blocked on."""

@@ -1,13 +1,4 @@
-"""The sharded optimistic simulation kernel (Time Warp over replicas).
-
-This module parallelizes the event loop itself — the structural
-counterpart of the paper's thesis applied to our own simulator: shards
-execute optimistically ahead of global virtual time (GVT) and roll back
-when a cross-shard message arrives in their past, instead of waiting
-conservatively on every possible interaction.
-
-Architecture
-------------
+"""The sharded simulation kernel: replicas under lookahead windows.
 
 The node set is partitioned into shards (sharing-group-aware contiguous
 blocks, :class:`ShardPlan`).  Each shard runs a **full replica** of the
@@ -17,9 +8,18 @@ only spawns the processes of the nodes it owns
 :class:`ShardRouter` installed on each replica's network diverts sends
 addressed to non-owned nodes into an outbox; the coordinator
 (:class:`ShardedSimulator`) stamps them with globally unique delivery
-keys and injects them into the owning replica's event heap as
-cancellable events.  Intra-shard traffic never leaves the replica's
-fast path.
+keys and injects them into the owning replica's event heap.
+Intra-shard traffic never leaves the replica's fast path.
+
+Synchronization: every round, each shard drains events strictly below
+``GVT + lookahead``, where GVT is the earliest pending event anywhere
+and lookahead is the minimum cross-shard wire latency.  A message sent
+at time ``s >= GVT`` arrives at ``s + latency >= GVT + lookahead`` — at
+or beyond every shard's horizon — so a delivery can never land in a
+shard's executed past and no shard ever has to undo work.  The router
+still checks each delivery against the target's local virtual time; a
+hit means the lookahead bound was violated and ends the run with
+:class:`~repro.errors.ShardingError`.
 
 Arrival ordering: in the serial kernel a delivery's sequence number is
 allocated at *send* time, so two messages arriving at the same instant
@@ -32,63 +32,19 @@ band sorts arrivals before every same-time local event (zero-delay
 wakeups a handler schedules key-sort after their delivery), and the
 token orders arrivals among themselves by send time exactly as the
 serial counter does, while staying independent of any replica-local
-counter — a front replica and its replaying base stamp bit-identical
-keys.  This also makes key order equal execution order inside a
-replica, the invariant the rollback bookkeeping (committed prefix =
-all keys below the straggler) depends on.
+counter.
 
-Synchronization policies
-------------------------
-
-``conservative``
-    Classic lookahead windows: every round, each shard drains events
-    strictly below ``GVT + lookahead`` where lookahead is the minimum
-    cross-shard wire latency.  A message sent at time ``s >= GVT``
-    arrives at ``s + latency >= GVT + lookahead`` — at or beyond every
-    shard's horizon — so stragglers are provably impossible and no
-    rollback machinery runs.
-
-``optimistic``
-    Shards drain up to ``GVT + lookahead * window_factor`` (the bounded
-    optimism window).  A delivery whose key is at or below the target
-    shard's local virtual time is a **straggler**: the shard rolls back
-    to just before the straggler's key and re-executes.  Every message
-    the rolled-back execution emitted from the undone suffix is
-    annihilated (its **anti-message**): a pending delivery is cancelled
-    in place; an already-executed one recursively rolls its consumer
-    back (cascading rollback, computed as a fixpoint before any
-    re-execution starts).
-
-Checkpoints by replay (coast-forward)
--------------------------------------
-
-Python generator frames cannot be copied, so shard state cannot be
-snapshotted by value.  Instead each optimistic shard keeps a **base
-replica** — a second, lagging execution fed only *committed* inputs
-(deliveries below GVT, which the GVT fence proves will never be
-annihilated).  The base replica *is* the checkpoint: restoring to a
-straggler key ``K`` means injecting the logged inputs below ``K`` and
-draining the base to exactly ``K`` with its outputs suppressed
-(coast-forward; duplicates of messages the original execution already
-sent), then promoting it to be the shard's live replica.  A fresh base
-is then rebuilt from the factory and catches up incrementally, a
-bounded number of events per round, so steady-state rollback cost is
-proportional to the optimism window, not to history.
-
-Determinism and parity
-----------------------
-
-A shard's execution is a pure function of its factory and the injected
-delivery sequence, so replicas replay exactly, and the merged final
-state (each node read from its owning replica, each group's lock table
-from the root's owner) is bit-identical to a serial run — enforced via
+Determinism and parity: a shard's execution is a pure function of its
+factory and the injected delivery sequence, so the merged final state
+(each node read from its owning replica, each group's lock table from
+the root's owner) is bit-identical to a serial run — enforced via
 :mod:`repro.sim.statehash` by the shard-parity tests and the
 ``shard-smoke`` CI gate.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from functools import partial
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.errors import ShardingError
@@ -106,28 +62,13 @@ from repro.sim.kernel import EventKey
 #: local keys, which must sort *after* the delivery, and two arrivals
 #: colliding at one instant must fire in send order whichever shard
 #: each came from.  With band ordering, execution order within a
-#: replica always equals key order, which is what makes "rolled back to
-#: just before key K" mean exactly "the executed prefix is every event
-#: with key < K".
+#: replica always equals key order, so "key at or below the replica's
+#: local virtual time" means exactly "in its executed past".
 _DELIVERY_PRIORITY = PRIORITY_ARRIVAL_BAND
 
-#: Priority bound used to build inclusive/exclusive window limit keys
+#: Priority bound used to build the exclusive window limit key
 #: (strictly outside both the delivery band and local priorities).
 _PRIORITY_CEILING = 1 << 30
-
-#: Default bounded-optimism multiple of the conservative lookahead.
-DEFAULT_WINDOW_FACTOR = 8.0
-
-#: Default per-round event budget for base-replica catch-up after a
-#: rollback consumed the old base (keeps one round from replaying an
-#: unbounded history in a single burst).
-_BASE_CATCHUP_FLOOR = 4096
-
-# _Delivery lifecycle states.
-_PENDING = 0      # routed, not yet injected anywhere (pre-replay)
-_DELIVERED = 1    # injected into the owner's heap, not yet executed
-_EXECUTED = 2     # the owner fired it
-_ANNIHILATED = 3  # cancelled by an anti-message; skipped everywhere
 
 
 class ShardPlan:
@@ -137,8 +78,7 @@ class ShardPlan:
     and clusters are kept whole when they fit a shard's quota, so most
     sharing traffic stays intra-shard; clusters larger than one quota
     (e.g. a single machine-wide group) split into contiguous blocks —
-    the root's shard then sees exactly the cross-shard root<->member
-    traffic the optimistic kernel is built to overlap.
+    the root's shard then sees the cross-shard root<->member traffic.
     """
 
     __slots__ = ("owner", "n_nodes", "n_shards")
@@ -226,447 +166,99 @@ class ShardPlan:
         return cls(tuple(remap[owner[node]] for node in range(n_nodes)))
 
 
-class _Delivery:
-    """One routed cross-shard message: log record + injectable event."""
-
-    __slots__ = (
-        "key",
-        "emit_key",
-        "src_shard",
-        "dst_shard",
-        "src",
-        "dst",
-        "kind",
-        "payload",
-        "size",
-        "sent_at",
-        "state",
-        "event",
-        "_handler",
-        "_msg",
-    )
-
-    def __init__(
-        self,
-        key: EventKey,
-        emit_key: EventKey,
-        src_shard: int,
-        dst_shard: int,
-        msg: Message,
-    ) -> None:
-        self.key = key
-        self.emit_key = emit_key
-        self.src_shard = src_shard
-        self.dst_shard = dst_shard
-        self.src = msg.src
-        self.dst = msg.dst
-        self.kind = msg.kind
-        self.payload = msg.payload
-        self.size = msg.size_bytes
-        self.sent_at = msg.sent_at
-        self.state = _PENDING
-        self.event = None
-        self._handler = None
-        self._msg = None
-
-    def __repr__(self) -> str:
-        return (
-            f"_Delivery({self.src}->{self.dst} {self.kind!r} @ {self.key}, "
-            f"state={self.state})"
-        )
-
-    def __getstate__(self) -> tuple:
-        """Durable identity only — the process-backend wire format.
-
-        The lifecycle state, the cancellable heap event, and the bound
-        handler/message describe one replica's timeline and never cross
-        the IPC boundary; the receiving side re-resolves them against
-        its own replica at inject time.
-        """
-        return (
-            self.key,
-            self.emit_key,
-            self.src_shard,
-            self.dst_shard,
-            self.src,
-            self.dst,
-            self.kind,
-            self.payload,
-            self.size,
-            self.sent_at,
-        )
-
-    def __setstate__(self, state: tuple) -> None:
-        (
-            self.key,
-            self.emit_key,
-            self.src_shard,
-            self.dst_shard,
-            self.src,
-            self.dst,
-            self.kind,
-            self.payload,
-            self.size,
-            self.sent_at,
-        ) = state
-        self.state = _PENDING
-        self.event = None
-        self._handler = None
-        self._msg = None
-
-    def fire(self) -> None:
-        self.state = _EXECUTED
-        self._handler(self._msg)
-
-    def _resolve(self, machine: Any) -> tuple[Any, Message]:
-        """Handler + fresh message bound to *this* replica.
-
-        Resolution must happen against the target replica (a discarded
-        replica's cached handler must never leak into its replacement),
-        and each replica gets its own :class:`Message` instance so a
-        handler that stashes the object cannot alias two timelines.
-        """
-        network = machine.network
-        handler = network._direct.get((self.dst, self.kind))
-        if handler is None:
-            handler = network._resolve_direct(self.dst, self.kind)
-        msg = Message(self.src, self.dst, self.kind, self.payload, self.size)
-        msg.sent_at = self.sent_at
-        return handler, msg
-
-    def inject(self, machine: Any) -> None:
-        """(Re-)schedule this delivery in the *front* replica's heap.
-
-        Tracks the record's live state: the registered cancellable event
-        is what a later anti-message cancels, and :meth:`fire` marks the
-        record executed so a rollback knows to cascade.  Only ever
-        called against the current (or about-to-be-promoted) front —
-        base catch-up uses :meth:`inject_replay`.
-        """
-        handler, msg = self._resolve(machine)
-        self._handler = handler
-        self._msg = msg
-        self.state = _DELIVERED
-        time, priority, seq = self.key
-        self.event = machine.sim._queue.push_at_key(time, priority, seq, self.fire)
-
-    def inject_replay(self, machine: Any) -> None:
-        """Deliver into a background base replica — stateless.
-
-        The base replays committed history while the front is still the
-        live timeline, so this must not touch ``state``/``event``/the
-        bound handler: those describe the record's status on the front
-        (e.g. the front may have EXECUTED this record already, or may
-        still hold its cancellable event).  Committed deliveries are
-        below the GVT fence and can never be annihilated, so the replay
-        event needs no cancellation handle either.
-        """
-        handler, msg = self._resolve(machine)
-        time, priority, seq = self.key
-        machine.sim._queue.push_at_key(
-            time, priority, seq, lambda: handler(msg)
-        )
-
-    def annihilate(self) -> bool:
-        """Cancel this delivery; returns True if it had already executed.
-
-        The anti-message: a still-pending delivery is cancelled in place
-        (its event becomes a skipped no-op); an executed one reports
-        ``True`` so the caller rolls the consuming shard back to before
-        ``self.key``.
-        """
-        executed = self.state == _EXECUTED
-        self.state = _ANNIHILATED
-        event = self.event
-        self.event = None
-        if event is not None:
-            event.cancel()
-        return executed
-
-
 class ShardRouter:
     """Per-replica send interceptor (installed on the replica's network).
 
     Collects cross-shard emissions into an outbox the coordinator flushes
-    each round.  In ``suppress`` mode (base replicas and coast-forward
-    replay) emissions are counted and dropped: a replay re-executes
-    events whose messages were already sent by the original execution.
+    each round.
     """
 
-    __slots__ = ("owned", "sim", "outbox", "suppress", "suppressed")
+    __slots__ = ("owned", "outbox")
 
-    def __init__(self, owned: frozenset[int], sim: Any) -> None:
+    def __init__(self, owned: frozenset[int]) -> None:
         self.owned = owned
-        self.sim = sim
-        #: ``(msg, arrival, copies, token, emit_key)`` in emission
-        #: order; ``token`` is the send-order key the network stamped
-        #: (see :data:`_DELIVERY_PRIORITY`).
-        self.outbox: list[tuple[Message, float, int, tuple, EventKey]] = []
-        self.suppress = False
-        self.suppressed = 0
+        #: ``(msg, arrival, copies, token)`` in emission order; ``token``
+        #: is the send-order key the network stamped (see
+        #: :data:`_DELIVERY_PRIORITY`).
+        self.outbox: list[tuple[Message, float, int, tuple]] = []
 
     def emit(
         self, msg: Message, arrival: float, copies: int, token: tuple
     ) -> None:
-        if self.suppress:
-            self.suppressed += copies
-            return
-        emit_key = self.sim.current_key
-        if emit_key is None:
-            # Emitted outside the drain loop (setup code at t=0).
-            emit_key = (self.sim._now, -_PRIORITY_CEILING, 0)
-        self.outbox.append((msg, arrival, copies, token, emit_key))
+        self.outbox.append((msg, arrival, copies, token))
 
 
-class _Replica:
-    """One build of the machine plus its router and drain bookkeeping."""
+class _Shard:
+    """One shard: the nodes it owns and its replica of the machine."""
 
-    __slots__ = ("machine", "system", "router", "lvt", "fired")
+    __slots__ = ("owned", "machine", "system", "router", "lvt")
 
-    def __init__(self, machine: Any, system: Any, router: ShardRouter) -> None:
+    def __init__(
+        self,
+        owned: frozenset[int],
+        machine: Any,
+        system: Any,
+        router: ShardRouter,
+    ) -> None:
+        self.owned = owned
         self.machine = machine
         self.system = system
         self.router = router
         #: Key of the last executed event (local virtual time), or None.
         self.lvt: EventKey | None = None
-        self.fired = 0
 
-    def drain(self, limit: EventKey, max_events: int | None = None) -> int:
-        fired, last = self.machine.sim.run_window(limit, max_events=max_events)
+    def drain(self, limit: EventKey) -> int:
+        fired, last = self.machine.sim.run_window(limit)
         if last is not None:
             self.lvt = last
-        self.fired += fired
         return fired
 
+    def inject(self, key: EventKey, msg: Message) -> None:
+        """Schedule ``msg``'s delivery in this replica's heap at ``key``.
 
-class _Shard:
-    """One shard: its live (front) replica, logs, and base checkpoint."""
-
-    __slots__ = (
-        "index",
-        "owned",
-        "front",
-        "base",
-        "inputs",
-        "outputs",
-        "base_pending",
-        "round_fired",
-        "_base_seq",
-    )
-
-    def __init__(self, index: int, owned: frozenset[int]) -> None:
-        self.index = index
-        self.owned = owned
-        self.front: _Replica | None = None
-        self.base: _Replica | None = None
-        #: Every delivery ever routed *to* this shard, in routing order.
-        self.inputs: list[_Delivery] = []
-        #: Live deliveries emitted *by* this shard (fossil-collected
-        #: below GVT: committed emissions can never be annihilated).
-        self.outputs: list[_Delivery] = []
-        #: Min-heap of ``(key, n, record)`` inputs the base replica has
-        #: not consumed yet.
-        self.base_pending: list[tuple[EventKey, int, _Delivery]] = []
-        self.round_fired = 0
-        # Heap tie-break only; delivery keys are globally unique, so a
-        # per-shard counter is as good as a global one.
-        self._base_seq = 0
-
-    def enqueue_base(self, record: _Delivery) -> None:
-        """Queue a routed input for the (current or future) base replica."""
-        self._base_seq += 1
-        heappush(self.base_pending, (record.key, self._base_seq, record))
-
-    def advance_base(self, limit: EventKey, budget: int) -> int:
-        """Feed committed inputs below ``limit`` to the base; drain it.
-
-        Returns the number of events the base re-executed.  Stateless
-        replay injection (:meth:`_Delivery.inject_replay`): the record's
-        state and cancellable event describe the *front's* timeline and
-        must not be disturbed by base bookkeeping.
+        The handler is resolved against *this* replica's network; the
+        message object is the sender's, as in a serial run.
         """
-        pending = self.base_pending
-        while pending and pending[0][0] < limit:
-            _key, _n, record = heappop(pending)
-            if record.state != _ANNIHILATED:
-                record.inject_replay(self.base.machine)
-        return self.base.drain(limit, max_events=budget)
-
-    def restore(
-        self, target: EventKey, rebuild: Callable[[], _Replica]
-    ) -> int:
-        """Coast-forward restore to just before ``target``.
-
-        Promotes the base replica: inject its unconsumed committed
-        inputs below ``target``, drain it to exactly ``target`` with
-        outputs suppressed (they were already sent), then swap it in as
-        the live replica and start a fresh base via ``rebuild``.
-        Returns the number of events the coast-forward re-executed.
-        """
-        base = self.base
-        if base is None:  # pragma: no cover - guarded by policy checks
-            raise ShardingError("rollback without a base replica")
-        pending = self.base_pending
-        while pending and pending[0][0] < target:
-            _key, _n, record = heappop(pending)
-            if record.state != _ANNIHILATED:
-                record.inject(base.machine)
-        fired, _last = base.machine.sim.run_window(target)
-        base.fired += fired
-        if base.machine.sim._queue:
-            # Nothing this shard owns may sit below the straggler key
-            # after coast-forward, or the restore undershot.
-            head = base.machine.sim._queue.peek_time()
-            if head < target[0]:
-                raise ShardingError(
-                    f"coast-forward stalled at {head} before target {target}"
-                )
-        # The promoted replica starts emitting live again.
-        base.router.suppress = False
-        base.lvt = base.machine.sim.current_key
-        self.front = base
-        # Everything at/after the straggler key is part of the undone
-        # suffix: re-deliver it to the promoted replica whether the old
-        # front had executed it, held its event, or never saw it (the
-        # straggler itself).  Records below the key were consumed by the
-        # coast-forward (or earlier base catch-up) and stay consumed.
-        for record in self.inputs:
-            if record.state != _ANNIHILATED and record.key >= target:
-                record.inject(base.machine)
-        # Fresh base at t=0; it owes the entire committed input history.
-        self.base = rebuild()
-        self.base_pending = []
-        for record in self.inputs:
-            if record.state != _ANNIHILATED:
-                self.enqueue_base(record)
-        return fired
+        network = self.machine.network
+        handler = network._direct.get((msg.dst, msg.kind))
+        if handler is None:
+            handler = network._resolve_direct(msg.dst, msg.kind)
+        time, priority, seq = key
+        self.machine.sim._queue.push_at_key(
+            time, priority, seq, partial(handler, msg)
+        )
 
 
 class ShardStats:
     """Aggregate behaviour counters for one sharded run."""
 
-    __slots__ = (
-        "rounds",
-        "executed",
-        "replayed",
-        "rollbacks",
-        "stragglers",
-        "annihilated",
-        "routed",
-        "suppressed",
-    )
+    __slots__ = ("rounds", "executed", "routed")
 
     def __init__(self) -> None:
         self.rounds = 0
-        #: Events fired by front replicas (committed + later rolled back).
+        #: Events fired across all replicas.
         self.executed = 0
-        #: Events re-executed by base replicas (checkpoint catch-up +
-        #: coast-forward restores).
-        self.replayed = 0
-        self.rollbacks = 0
-        self.stragglers = 0
-        self.annihilated = 0
+        #: Cross-shard deliveries (one per copy).
         self.routed = 0
-        self.suppressed = 0
 
-    def rollback_ratio(self) -> float:
-        """Re-executed events per front-executed event."""
-        if self.executed == 0:
-            return 0.0
-        return self.replayed / self.executed
-
-    def summary(self) -> dict[str, float | int]:
+    def summary(self) -> dict[str, int]:
         return {
             "rounds": self.rounds,
             "executed": self.executed,
-            "replayed": self.replayed,
-            "rollbacks": self.rollbacks,
-            "stragglers": self.stragglers,
-            "annihilated": self.annihilated,
             "routed": self.routed,
-            "rollback_ratio": self.rollback_ratio(),
         }
-
-
-class WindowPacer:
-    """Adaptive optimism control, shared by both shard backends.
-
-    Two dials, both rollback-driven and both parity-transparent — the
-    merged final state is a pure function of the injected delivery
-    sequence, never of the round structure (see "Determinism and
-    parity" above), so pacing can only change *cost*, not results:
-
-    * **Window** starts at the configured optimism window, quarters on
-      any round that rolled back (floored at the conservative
-      lookahead, which provably cannot straggle), and recovers by 5%
-      per clean round up to the configured ceiling.  The asymmetry is
-      deliberate: every rollback costs a full base-replica rebuild
-      (checkpoint-by-replay replays the committed history from
-      scratch), so re-speculating too eagerly after a rollback is far
-      more expensive than a few extra fenced rounds.  On the contended
-      figure2 queue this cuts rollbacks ~4x and the replay ratio from
-      ~9.2 to ~2.6 for a ~17% round increase; workloads that never
-      roll back (the figure8 pipeline) never shrink and pay nothing.
-    * **Base cadence** controls checkpoint catch-up (base-replica
-      replay).  It runs every round while rollbacks are fresh, but each
-      :data:`CLEAN_STREAK` clean rounds the interval doubles (capped at
-      :data:`MAX_CADENCE`), with the per-advance event budget scaled to
-      match.  Replay the run never needs — a base that is never
-      promoted — is simply skipped, which is where the rollback ratio
-      drops on well-behaved workloads.
-    """
-
-    __slots__ = ("floor", "ceiling", "window", "cadence", "_clean", "_skip")
-
-    SHRINK = 0.25
-    GROW = 1.05
-    MAX_CADENCE = 8
-    CLEAN_STREAK = 2
-
-    def __init__(self, lookahead: float, window: float) -> None:
-        self.floor = lookahead
-        self.ceiling = window
-        self.window = window
-        self.cadence = 1
-        self._clean = 0
-        self._skip = 0
-
-    def note_round(self, rolled_back: bool) -> None:
-        """Record one round's outcome; adjusts window and cadence."""
-        if rolled_back:
-            self.window = max(self.floor, self.window * self.SHRINK)
-            self.cadence = 1
-            self._clean = 0
-            self._skip = 0
-        else:
-            self._clean += 1
-            if self.window < self.ceiling:
-                self.window = min(self.ceiling, self.window * self.GROW)
-            if self._clean >= self.CLEAN_STREAK and self.cadence < self.MAX_CADENCE:
-                self.cadence *= 2
-                self._clean = 0
-
-    def should_advance(self) -> bool:
-        """True when this round is due for base catch-up."""
-        self._skip += 1
-        if self._skip >= self.cadence:
-            self._skip = 0
-            return True
-        return False
 
 
 #: A factory builds one replica: ``factory(owned) -> (machine, system)``.
 #: ``owned=None`` must build the plain serial machine; with a frozenset
 #: it must set ``machine.shard_owned`` (or use ``spawn_for``) so only
-#: owned processes spawn.  The build must be deterministic: replicas and
-#: replays all come from this function.
+#: owned processes spawn.  The build must be deterministic: every
+#: replica comes from this function.
 ShardFactory = Callable[[frozenset[int] | None], tuple[Any, Any]]
 
 
-def build_replica(
-    factory: ShardFactory, owned: frozenset[int], suppress: bool
-) -> _Replica:
-    """Build and validate one shard replica (shared by both backends)."""
+def build_replica(factory: ShardFactory, owned: frozenset[int]) -> _Shard:
+    """Build and validate one shard's replica."""
     machine, system = factory(owned)
     if machine.shard_owned != owned:
         raise ShardingError(
@@ -688,14 +280,13 @@ def build_replica(
             "root failover crosses replica boundaries (direct engine "
             "state reads); not supported under sharding"
         )
-    router = ShardRouter(owned, machine.sim)
-    router.suppress = suppress
+    router = ShardRouter(owned)
     machine.network.install_shard_router(router)
-    return _Replica(machine, system, router)
+    return _Shard(owned, machine, system, router)
 
 
 def min_cross_latency(machine: Any, owner: Sequence[int]) -> float:
-    """Conservative lookahead: the smallest cross-shard wire latency."""
+    """The lookahead: the smallest cross-shard wire latency."""
     topology = machine.topology
     hop = machine.params.hop_latency
     best = float("inf")
@@ -718,8 +309,7 @@ def check_merged_spans(spans: list[tuple[str, float, float, int]]) -> None:
 
     Per-replica checkers only see their own nodes' sections; the merged
     ``(lock, enter, exit, node)`` spans re-verify exclusion across shard
-    boundaries.  Shared by both backends (the process backend ships the
-    span tuples over IPC at finalize time).
+    boundaries.
     """
     spans.sort()
     previous: dict[str, tuple[float, int]] = {}
@@ -740,82 +330,38 @@ class ShardedSimulator:
     Args:
         factory: Deterministic replica builder (see :data:`ShardFactory`).
         plan: Node-to-shard assignment.
-        policy: ``"conservative"`` or ``"optimistic"``.
-        window_factor: Optimism window as a multiple of the conservative
-            lookahead (ignored under ``conservative``).
     """
 
-    #: Backend tag for honest reporting (see repro.sim.procshards).
-    backend = "inproc"
-
-    def __init__(
-        self,
-        factory: ShardFactory,
-        plan: ShardPlan,
-        policy: str = "optimistic",
-        window_factor: float = DEFAULT_WINDOW_FACTOR,
-    ) -> None:
-        if policy not in ("conservative", "optimistic"):
-            raise ShardingError(
-                f"unknown sync policy {policy!r}; use 'conservative' or 'optimistic'"
-            )
-        if window_factor < 1.0:
-            raise ShardingError(
-                f"window_factor must be >= 1 (got {window_factor})"
-            )
-        self.factory = factory
+    def __init__(self, factory: ShardFactory, plan: ShardPlan) -> None:
         self.plan = plan
-        self.policy = policy
         self.stats = ShardStats()
         #: Optional observer called with each round's GVT estimate
         #: (campaign oracles hook GvtMonitor.note here).  Must be
         #: read-only: it runs inside the round loop.
         self.on_gvt: Callable[[float], None] | None = None
-        self.shards: list[_Shard] = []
+        self.shards = [
+            build_replica(factory, plan.owned(index))
+            for index in range(plan.n_shards)
+        ]
         self._finished = False
-        for index in range(plan.n_shards):
-            shard = _Shard(index, plan.owned(index))
-            shard.front = self._build_replica(shard, suppress=False)
-            self.shards.append(shard)
-        first = self.shards[0].front.machine
+        first = self.shards[0].machine
         self.n_nodes = first.n_nodes
-        self.lookahead = self._min_cross_latency(first)
+        self.lookahead = min_cross_latency(first, plan.owner)
         if self.lookahead <= 0.0:
             raise ShardingError(
                 "zero cross-shard lookahead (hop_latency=0 or co-located "
                 "shards): sharding cannot make progress; run serial"
             )
-        self.window = (
-            self.lookahead
-            if policy == "conservative"
-            else self.lookahead * window_factor
-        )
-        self.pacer = WindowPacer(self.lookahead, self.window)
-        if policy == "optimistic":
-            for shard in self.shards:
-                shard.base = self._build_replica(shard, suppress=True)
-                # A fresh base has consumed nothing; every input routed
-                # from now on is queued for it in route order.
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-
-    def _build_replica(self, shard: _Shard, suppress: bool) -> _Replica:
-        return build_replica(self.factory, shard.owned, suppress)
-
-    def _min_cross_latency(self, machine: Any) -> float:
-        return min_cross_latency(machine, self.plan.owner)
 
     # ------------------------------------------------------------------
     # The round loop
     # ------------------------------------------------------------------
 
     def _gvt(self) -> float | None:
-        """Earliest pending event time across all front replicas."""
+        """Earliest pending event time across all replicas."""
         best: float | None = None
         for shard in self.shards:
-            queue = shard.front.machine.sim._queue
+            queue = shard.machine.sim._queue
             if queue:
                 time = queue.peek_time()
                 if best is None or time < best:
@@ -826,8 +372,6 @@ class ShardedSimulator:
         """Drive all shards to completion; returns the final clock."""
         if self._finished:
             raise ShardingError("sharded run already finished")
-        optimistic = self.policy == "optimistic"
-        pacer = self.pacer
         while True:
             gvt = self._gvt()
             if gvt is None:
@@ -839,54 +383,15 @@ class ShardedSimulator:
                 raise ShardingError(
                     f"exceeded max_rounds={max_rounds}; likely a livelock"
                 )
-            if optimistic and pacer.should_advance():
-                self._advance_bases(gvt, cadence=pacer.cadence)
-            horizon: EventKey = (gvt + self.window, -_PRIORITY_CEILING, 0)
+            horizon: EventKey = (gvt + self.lookahead, -_PRIORITY_CEILING, 0)
             for shard in self.shards:
-                fired = shard.front.drain(horizon)
-                shard.round_fired = fired
-                self.stats.executed += fired
-            stragglers = self._route_round()
-            if stragglers:
-                if not optimistic:
-                    raise ShardingError(
-                        "straggler under the conservative policy: the "
-                        "lookahead bound was violated (internal error)"
-                    )
-                self._rollback(stragglers, gvt)
-            if optimistic:
-                pacer.note_round(bool(stragglers))
-                self.window = pacer.window
-            self._fossil_collect(gvt)
-        self.stats.suppressed = sum(
-            shard.front.router.suppressed for shard in self.shards
-        ) + sum(
-            shard.base.router.suppressed
-            for shard in self.shards
-            if shard.base is not None
-        )
+                self.stats.executed += shard.drain(horizon)
+            self._route_round()
         self._finished = True
         return self.elapsed
 
-    def _fossil_collect(self, gvt: float) -> None:
-        """Drop output records that can never be annihilated.
-
-        A rollback target is always a delivery key strictly above GVT
-        (arrival >= send time + lookahead > GVT), so an emission stamped
-        at or below GVT can never satisfy ``emit_key >= target`` — it is
-        committed history the annihilation fixpoint need not scan.
-        Input records are kept: a rollback rebuilds a fresh base replica
-        from t=0, which owes the shard's entire delivery history.
-        """
-        for shard in self.shards:
-            outputs = shard.outputs
-            if outputs and any(record.emit_key[0] <= gvt for record in outputs):
-                shard.outputs = [
-                    record for record in outputs if record.emit_key[0] > gvt
-                ]
-
-    def _route_round(self) -> dict[int, EventKey]:
-        """Flush outboxes, stamp delivery keys, inject; find stragglers.
+    def _route_round(self) -> None:
+        """Flush outboxes, stamp delivery keys, inject into the owners.
 
         A routed delivery's key is ``(arrival, band, token)`` with the
         send-order token the source network stamped at emission time —
@@ -895,105 +400,29 @@ class ShardedSimulator:
         instant order exactly as in a serial run; the parity tests hold
         this to bit-identical final state.
         """
-        entries: list[tuple[float, tuple, int, Message, int, EventKey]] = []
-        for shard in self.shards:
-            outbox = shard.front.router.outbox
-            if outbox:
-                for msg, arrival, copies, token, emit_key in outbox:
-                    entries.append(
-                        (arrival, token, shard.index, msg, copies, emit_key)
-                    )
-                outbox.clear()
-        if not entries:
-            return {}
-        entries.sort(key=lambda entry: entry[:2])
-        stragglers: dict[int, EventKey] = {}
         owner = self.plan.owner
-        for arrival, token, src_shard, msg, copies, emit_key in entries:
-            dst_shard_index = owner[msg.dst]
-            dst_shard = self.shards[dst_shard_index]
-            send_time, send_src, send_idx = token
-            for copy in range(copies):
-                record = _Delivery(
-                    (
+        for source in self.shards:
+            outbox = source.router.outbox
+            for msg, arrival, copies, token in outbox:
+                target = self.shards[owner[msg.dst]]
+                send_time, send_src, send_idx = token
+                lvt = target.lvt
+                for copy in range(copies):
+                    key: EventKey = (
                         arrival,
                         _DELIVERY_PRIORITY,
                         (send_time, send_src, send_idx + copy),
-                    ),
-                    emit_key,
-                    src_shard,
-                    dst_shard_index,
-                    msg,
-                )
-                self.shards[src_shard].outputs.append(record)
-                dst_shard.inputs.append(record)
-                if dst_shard.base is not None:
-                    dst_shard.enqueue_base(record)
-                self.stats.routed += 1
-                lvt = dst_shard.front.lvt
-                if lvt is not None and record.key <= lvt:
-                    # Straggler: arrived in the shard's executed past.
-                    self.stats.stragglers += 1
-                    current = stragglers.get(dst_shard_index)
-                    if current is None or record.key < current:
-                        stragglers[dst_shard_index] = record.key
-                else:
-                    record.inject(dst_shard.front.machine)
-        return stragglers
-
-    # ------------------------------------------------------------------
-    # Rollback
-    # ------------------------------------------------------------------
-
-    def _rollback(self, stragglers: dict[int, EventKey], gvt: float) -> None:
-        """Cascading rollback: annihilation fixpoint, then replays."""
-        targets = dict(stragglers)
-        changed = True
-        while changed:
-            changed = False
-            for index in list(targets):
-                target = targets[index]
-                for record in self.shards[index].outputs:
-                    if record.state == _ANNIHILATED or record.emit_key < target:
-                        continue
-                    executed = record.annihilate()
-                    self.stats.annihilated += 1
-                    if executed:
-                        # Anti-message against an already-executed
-                        # delivery: its consumer rolls back too.
-                        current = targets.get(record.dst_shard)
-                        if current is None or record.key < current:
-                            targets[record.dst_shard] = record.key
-                            changed = True
-        for index, target in targets.items():
-            self._restore(self.shards[index], target)
-            self.stats.rollbacks += 1
-
-    def _restore(self, shard: _Shard, target: EventKey) -> None:
-        """Restore ``shard`` to just before ``target`` via coast-forward.
-
-        Delegates to :meth:`_Shard.restore` (shared with the process
-        backend's workers), charging the coast-forward replays to stats.
-        """
-        self.stats.replayed += shard.restore(
-            target, lambda: self._build_replica(shard, suppress=True)
-        )
-
-    def _advance_bases(self, gvt: float, cadence: int = 1) -> None:
-        """Advance every base replica through the committed prefix.
-
-        Deliveries below GVT can never be annihilated (a rollback target
-        always lies strictly above GVT), so the base may consume them
-        permanently.  The per-round event budget bounds how much history
-        a freshly rebuilt base replays in one round; when the pacer
-        skipped rounds, ``cadence`` scales the budget to compensate.
-        """
-        limit: EventKey = (gvt, _PRIORITY_CEILING, 0)
-        for shard in self.shards:
-            if shard.base is None:
-                continue
-            budget = cadence * max(_BASE_CATCHUP_FLOOR, 4 * shard.round_fired)
-            self.stats.replayed += shard.advance_base(limit, budget)
+                    )
+                    if lvt is not None and key <= lvt:
+                        # Straggler: arrived in the shard's executed past.
+                        raise ShardingError(
+                            f"straggler {msg} at {key} behind local "
+                            f"virtual time {lvt}: the lookahead bound was "
+                            "violated (internal error)"
+                        )
+                    target.inject(key, msg)
+                    self.stats.routed += 1
+            outbox.clear()
 
     # ------------------------------------------------------------------
     # Results
@@ -1001,25 +430,21 @@ class ShardedSimulator:
 
     @property
     def machines(self) -> list[Any]:
-        """The live (front) replica machines, by shard index."""
-        return [shard.front.machine for shard in self.shards]
-
-    @property
-    def owner_of(self) -> tuple[int, ...]:
-        return self.plan.owner
+        """The replica machines, by shard index."""
+        return [shard.machine for shard in self.shards]
 
     @property
     def system_name(self) -> str:
-        return self.shards[0].front.system.name
+        return self.shards[0].system.name
 
     @property
     def elapsed(self) -> float:
         """The final clock: time of the last event executed anywhere."""
-        return max(shard.front.machine.sim.now for shard in self.shards)
+        return max(shard.machine.sim.now for shard in self.shards)
 
     def node(self, node_id: int) -> Any:
         """Node ``node_id``'s handle from its owning replica."""
-        return self.shards[self.plan.owner[node_id]].front.machine.nodes[node_id]
+        return self.shards[self.plan.owner[node_id]].machine.nodes[node_id]
 
     @property
     def nodes(self) -> list[Any]:
@@ -1046,11 +471,11 @@ class ShardedSimulator:
     def verify(self) -> None:
         """Post-run checks: quiescence and global mutual exclusion."""
         for shard in self.shards:
-            shard.front.machine.sim.check_quiescent()
+            shard.machine.sim.check_quiescent()
         checkers = [
-            shard.front.machine.checker
+            shard.machine.checker
             for shard in self.shards
-            if shard.front.machine.checker is not None
+            if shard.machine.checker is not None
         ]
         for checker in checkers:
             checker.verify_no_occupancy()

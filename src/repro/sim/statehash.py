@@ -202,7 +202,7 @@ def shared_state_payload(machine: "DSMMachine") -> dict[str, Any]:
     """The *semantic* shared-memory outcome of a run.
 
     :func:`state_payload` is the right bar for kernel parity (same
-    machine, different execution backends: every counter and sequencer
+    machine, serial or sharded kernel: every counter and sequencer
     position must match bit-for-bit).  Root sharding changes the
     machine itself — sequence numbers split across per-partition
     streams, message counts and clocks legitimately differ — so its

@@ -99,10 +99,9 @@ def shard_fallback_reason(
 
     The sharded kernel (:mod:`repro.sim.shards`) needs more than one
     shard, a message-pure consistency system, and a strictly positive
-    cross-shard wire latency (the conservative lookahead / rollback
-    fence).  Workload drivers call this before committing to a sharded
-    run so unshardable configurations degrade gracefully instead of
-    raising.
+    cross-shard wire latency (the lookahead).  Workload drivers call
+    this before committing to a sharded run so unshardable
+    configurations degrade gracefully instead of raising.
     """
     if shards <= 1:
         return "shards <= 1"
@@ -117,8 +116,6 @@ def run_sharded(
     factory: Callable[["frozenset[int] | None"], tuple[DSMMachine, DsmSystem]],
     n_nodes: int,
     shards: int,
-    policy: str,
-    backend: str | None = None,
     **extra: Any,
 ) -> WorkloadResult:
     """Run a workload under the sharded kernel and package the result.
@@ -130,21 +127,15 @@ def run_sharded(
     each node from its owning replica, directly comparable (bit-for-bit)
     with a serial :func:`finish` result.
 
-    ``backend`` selects the shard execution backend — ``"inproc"``
-    (cooperative, one process) or ``"process"`` (one forked worker per
-    shard; see :mod:`repro.sim.procshards`); ``None`` resolves via
-    ``REPRO_SHARD_BACKEND``.  State hashes are bit-identical either way.
-
     The kernel itself rides along as ``result.extra["_kernel"]`` so the
     workload driver can read merged node handles for its own accounting;
     drivers pop it before returning (it holds live simulator state and
     must not leak into pickled sweep results).
     """
-    from repro.sim.procshards import make_sharded_kernel
-    from repro.sim.shards import ShardPlan
+    from repro.sim.shards import ShardedSimulator, ShardPlan
 
     plan = ShardPlan.from_groups(n_nodes, shards)
-    kernel = make_sharded_kernel(factory, plan, policy=policy, backend=backend)
+    kernel = ShardedSimulator(factory, plan)
     kernel.run()
     kernel.verify()
     metrics = kernel.merged_metrics()
@@ -157,8 +148,6 @@ def run_sharded(
     )
     result.extra.update(
         shards=plan.n_shards,
-        shard_policy=policy,
-        shard_backend=kernel.backend,
         shard_stats=kernel.stats.summary(),
         state_hash=kernel.state_hash(),
     )

@@ -81,12 +81,6 @@ class PipelineConfig:
     #: Run under the sharded kernel when > 1 (see :mod:`repro.sim.shards`).
     #: Unshardable configurations fall back to a serial run.
     shards: int = 1
-    #: ``"optimistic"`` (Time Warp rollback) or ``"conservative"``.
-    shard_policy: str = "optimistic"
-    #: Shard execution backend: ``"inproc"``, ``"process"``, or ``None``
-    #: to resolve via ``REPRO_SHARD_BACKEND`` (see
-    #: :mod:`repro.sim.procshards`).  Parity is bit-identical either way.
-    shard_backend: "str | None" = None
     #: Optional fault schedule (see :mod:`repro.faults.plan`), installed
     #: on every build — serial and each shard replica alike, so chaos
     #: runs stay shard-parity-comparable when the plan itself is
@@ -206,8 +200,6 @@ def run_pipeline(config: PipelineConfig) -> WorkloadResult:
                 lambda owned: _build_pipeline(config, owned),
                 config.n_nodes,
                 config.shards,
-                config.shard_policy,
-                backend=config.shard_backend,
             )
             kernel = result.extra.pop("_kernel")
             nodes = kernel.nodes

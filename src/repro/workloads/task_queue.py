@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from repro.core.node import NodeHandle
 from repro.core.section import Section, SectionContext
-from repro.errors import WorkloadError
+from repro.errors import ShardingError, WorkloadError
 from repro.params import PAPER_PARAMS, MachineParams
 from repro.workloads.base import (
     WorkloadResult,
@@ -70,11 +70,13 @@ class TaskQueueConfig:
     #: Run under the sharded kernel when > 1 (see :mod:`repro.sim.shards`).
     #: Unshardable configurations fall back to a serial run.
     shards: int = 1
-    #: ``"optimistic"`` (Time Warp rollback) or ``"conservative"``.
-    shard_policy: str = "optimistic"
-    #: Shard execution backend: ``"inproc"``, ``"process"``, or ``None``
-    #: to resolve via ``REPRO_SHARD_BACKEND`` (see
-    #: :mod:`repro.sim.procshards`).  Parity is bit-identical either way.
+    #: Retired inputs, one legal value each (``"conservative"``;
+    #: ``None`` or ``"inproc"``): the sharded kernel has one sync policy
+    #: and one backend.  The names stay only because the frozen
+    #: ``benchmarks/layered`` ``shard_scale`` variants still set them
+    #: and skip a variant only on ``ReproError``;
+    #: :func:`run_task_queue` raises ``ShardingError`` for anything else.
+    shard_policy: str = "conservative"
     shard_backend: "str | None" = None
     #: Optional fault schedule (see :mod:`repro.faults.plan`), installed
     #: on every build — serial and each shard replica alike, so chaos
@@ -200,6 +202,16 @@ def run_task_queue(config: TaskQueueConfig) -> WorkloadResult:
     """Run the Figure 2 workload under one consistency system."""
     if config.n_nodes < 2:
         raise WorkloadError("task queue needs a producer and >= 1 consumer")
+    if config.shard_policy != "conservative" or config.shard_backend not in (
+        None,
+        "inproc",
+    ):
+        raise ShardingError(
+            f"shard_policy={config.shard_policy!r} / "
+            f"shard_backend={config.shard_backend!r} were removed: the "
+            "sharded kernel runs in-process under conservative lookahead "
+            "windows only"
+        )
     fallback = None
     if config.shards > 1:
         fallback = shard_fallback_reason(
@@ -210,8 +222,6 @@ def run_task_queue(config: TaskQueueConfig) -> WorkloadResult:
                 lambda owned: _build_task_queue(config, owned),
                 config.n_nodes,
                 config.shards,
-                config.shard_policy,
-                backend=config.shard_backend,
             )
             kernel = result.extra.pop("_kernel")
             executed = sum(

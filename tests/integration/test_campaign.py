@@ -46,12 +46,12 @@ class TestCampaignGreenPath:
             assert row["ok"]
             assert list(row)[:4] == ["trial", "kind", "profile", "topology"]
 
-    def test_shard_trials_check_parity_under_both_policies(self):
+    def test_shard_trials_check_parity_x2_and_x4(self):
         campaign = run_campaign(smoke_config())
         shard_rows = [r for r in campaign.rows() if r["kind"] == "shard"]
         assert {r["scenario"] for r in shard_rows} == {
-            "shard:optimisticx2",
             "shard:conservativex2",
+            "shard:conservativex4",
         }
         for row in shard_rows:
             assert row["converged"]  # state-hash parity vs the serial run

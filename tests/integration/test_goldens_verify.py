@@ -156,7 +156,6 @@ class TestDeterminism:
             "chaos",
             "failover",
             "shard_smoke",
-            "shard_backend",
             "bench_kernel",
         ):
             assert expected in names

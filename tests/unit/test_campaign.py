@@ -139,17 +139,14 @@ class TestCampaignTrials:
         chaos = [t for t in trials if t.kind == "chaos"]
         # Six trials over the profile x system rotation cover the three
         # structural profiles on both systems; the shard trials add the
-        # wire profile under both sync policies.
+        # wire profile at two shard counts.
         assert {t.profile for t in chaos} == {
             "churn",
             "splitbrain",
             "rootstorm",
         }
         shard = [t for t in trials if t.kind == "shard"]
-        assert {t.shard_policy for t in shard} == {
-            "optimistic",
-            "conservative",
-        }
+        assert {t.shards for t in shard} == {2, 4}
 
 
 class TestDdmin:

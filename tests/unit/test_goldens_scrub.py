@@ -51,7 +51,7 @@ class TestScrubPayload:
 class TestBenchVolatile:
     def test_keeps_semantic_fields_drops_host_and_timings(self):
         snapshot = {
-            "schema": 4,
+            "schema": 5,
             "python": "3.11.7",
             "cpu_count": 8,
             "host": {"cpu_model": "x", "platform": "y"},
@@ -62,44 +62,16 @@ class TestBenchVolatile:
             "sharded": {
                 "workload": "figure2 task queue",
                 "serial_wall_s": 0.1,
-                "events_per_sec_serial": 999,
-                "backends": [
-                    {
-                        "backend": "inproc",
-                        "effective": "inproc",
-                        "wall_s": 0.4,
-                        "events_per_sec": 250,
-                        "rollbacks": 7,
-                        "rollback_ratio": 0.09,
-                        "speedup_vs_serial": 0.25,
-                        "overhead_vs_serial": 4.0,
-                        "parity": True,
-                    },
-                    {
-                        "backend": "process",
-                        "effective": "process",
-                        "wall_s": 0.05,
-                        "events_per_sec": 2000,
-                        "rollbacks": 9,
-                        "rollback_ratio": 0.11,
-                        "speedup_vs_serial": 2.0,
-                        "overhead_vs_serial": 0.5,
-                        "parity": True,
-                    },
-                ],
+                "wall_s": 0.4,
+                "overhead_vs_serial": 4.0,
+                "parity": True,
             },
         }
         scrubbed = scrub_payload(snapshot, BENCH_VOLATILE)
         assert scrubbed == {
-            "schema": 4,
+            "schema": 5,
             "burst_ablation": [{"burst": 1, "origin_messages": 512}],
-            "sharded": {
-                "workload": "figure2 task queue",
-                "backends": [
-                    {"backend": "inproc", "parity": True},
-                    {"backend": "process", "parity": True},
-                ],
-            },
+            "sharded": {"workload": "figure2 task queue", "parity": True},
         }
 
 

@@ -1,10 +1,10 @@
-"""Unit tests for the sharded Time Warp kernel's building blocks.
+"""Unit tests for the sharded kernel's building blocks.
 
 Covers the pure pieces in isolation: :class:`ShardPlan` partitioning,
 the caller-keyed event queue API (``push_at_key`` / ``run_window``),
-anti-message annihilation, straggler classification at the exact
-checkpoint boundary, and the cascading-rollback fixpoint.  End-to-end
-serial-parity runs live in ``tests/integration/test_shard_parity.py``.
+the lookahead window, and the straggler check at its exact boundary.
+End-to-end serial-parity runs live in
+``tests/integration/test_shard_parity.py``.
 """
 
 from __future__ import annotations
@@ -13,28 +13,27 @@ import pytest
 
 from repro.errors import ShardingError
 from repro.net.message import Message
+from repro.sim import shards as shards_module
 from repro.sim.event import (
     PRIORITY_ARRIVAL_BAND,
     PRIORITY_NORMAL,
     PRIORITY_URGENT,
-    Event,
     EventQueue,
 )
 from repro.sim.kernel import Simulator
 from repro.sim.shards import (
-    _ANNIHILATED,
-    _DELIVERED,
     _DELIVERY_PRIORITY,
-    _EXECUTED,
     _PRIORITY_CEILING,
-    DEFAULT_WINDOW_FACTOR,
     ShardedSimulator,
     ShardPlan,
-    ShardStats,
-    _Delivery,
+    _Shard,
 )
 from repro.workloads.base import build_machine
-from repro.workloads.task_queue import TaskQueueConfig, _build_task_queue
+from repro.workloads.task_queue import (
+    TaskQueueConfig,
+    _build_task_queue,
+    run_task_queue,
+)
 
 
 class TestShardPlan:
@@ -108,42 +107,14 @@ class TestArrivalBandKeys:
             queue.pop().fn()
         assert fired == ["a", "b", "c", "local"]
 
-    def test_push_at_key_is_cancellable(self):
-        queue = EventQueue()
-        fired: list[str] = []
-        event = queue.push_at_key(
-            1.0, PRIORITY_ARRIVAL_BAND, (0.5, 0, 0), lambda: fired.append("x")
-        )
-        queue.push(2.0, lambda: fired.append("kept"))
-        event.cancel()
-        assert len(queue) == 1
-        while queue:
-            queue.pop().fn()
-        assert fired == ["kept"]
-
-    def test_identical_keys_tolerated(self):
-        # A rolled-back shard re-emits an annihilated delivery under the
-        # *identical* replayed key while the cancelled original is still
-        # in the heap; the heap then compares the Event objects.
-        assert not Event(1.0, 0, 0, lambda: None) < Event(1.0, 0, 0, lambda: None)
-        queue = EventQueue()
-        fired: list[str] = []
-        key = (1.0, PRIORITY_ARRIVAL_BAND, (0.5, 0, 0))
-        original = queue.push_at_key(*key, lambda: fired.append("original"))
-        original.cancel()
-        queue.push_at_key(*key, lambda: fired.append("replacement"))
-        while queue:
-            queue.pop().fn()
-        assert fired == ["replacement"]
-
 
 class TestRunWindow:
     def _sim(self) -> Simulator:
         return Simulator()
 
     def test_limit_key_is_exclusive(self):
-        # The coast-forward contract: restoring to straggler key K must
-        # replay everything strictly below K and nothing at or above it.
+        # A window drains everything strictly below the limit key and
+        # nothing at or above it.
         sim = self._sim()
         fired: list[str] = []
         key = (2.0, PRIORITY_ARRIVAL_BAND, (1.5, 0, 0))
@@ -172,94 +143,33 @@ class TestRunWindow:
         assert fired == [1]
         assert count == 1
 
-    def test_max_events_budget_stops_early(self):
-        sim = self._sim()
-        fired: list[int] = []
-        for i in range(6):
-            sim._queue.push(float(i + 1), lambda i=i: fired.append(i))
-        count, last = sim.run_window((100.0, 0, 0), max_events=2)
-        assert count == 2
-        assert fired == [0, 1]
-        assert last == (2.0, PRIORITY_NORMAL, 1)
 
-    def test_current_key_tracks_executing_event(self):
-        sim = self._sim()
-        seen: list[tuple] = []
-        sim._queue.push(1.0, lambda: seen.append(sim.current_key))
-        sim.run_window((2.0, 0, 0))
-        assert seen == [(1.0, PRIORITY_NORMAL, 0)]
-
-
-def _delivery(key, emit_key, src_shard=0, dst_shard=1) -> _Delivery:
-    msg = Message(0, 3, "test.kind", payload=None, size_bytes=16)
-    msg.sent_at = key[2][0] if isinstance(key[2], tuple) else key[0]
-    return _Delivery(key, emit_key, src_shard, dst_shard, msg)
-
-
-class TestAntiMessages:
-    def test_annihilate_pending_delivery_cancels_its_event(self):
-        queue = EventQueue()
-        record = _delivery(
-            (1.0, _DELIVERY_PRIORITY, (0.5, 0, 0)), (0.5, 0, 0)
-        )
-        record.event = queue.push_at_key(*record.key, lambda: None)
-        record.state = _DELIVERED
-        assert record.annihilate() is False
-        assert record.state == _ANNIHILATED
-        assert record.event is None
-        assert len(queue) == 0  # the heap entry is a skipped no-op
-
-    def test_annihilate_executed_delivery_reports_cascade(self):
-        record = _delivery(
-            (1.0, _DELIVERY_PRIORITY, (0.5, 0, 0)), (0.5, 0, 0)
-        )
-        record.state = _EXECUTED
-        assert record.annihilate() is True
-        assert record.state == _ANNIHILATED
-
-    def test_annihilate_is_idempotent_on_cancelled(self):
-        record = _delivery(
-            (1.0, _DELIVERY_PRIORITY, (0.5, 0, 0)), (0.5, 0, 0)
-        )
-        record.state = _DELIVERED
-        assert record.annihilate() is False
-        assert record.annihilate() is False
-
-
-def _task_queue_kernel(
-    n_nodes: int = 5, shards: int = 2, policy: str = "optimistic"
-) -> ShardedSimulator:
+def _task_queue_kernel(n_nodes: int = 5, shards: int = 2) -> ShardedSimulator:
     config = TaskQueueConfig(n_nodes=n_nodes, total_tasks=4)
     plan = ShardPlan.from_groups(n_nodes, shards)
-    return ShardedSimulator(
-        lambda owned: _build_task_queue(config, owned), plan, policy=policy
-    )
+    return ShardedSimulator(lambda owned: _build_task_queue(config, owned), plan)
 
 
 class TestShardedSimulatorConfig:
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ShardingError, match="sync policy"):
-            _task_queue_kernel(policy="yolo")
-
-    def test_window_factor_below_one_rejected(self):
-        config = TaskQueueConfig(n_nodes=5, total_tasks=4)
-        with pytest.raises(ShardingError, match="window_factor"):
-            ShardedSimulator(
-                lambda owned: _build_task_queue(config, owned),
-                ShardPlan.from_groups(5, 2),
-                window_factor=0.5,
-            )
-
-    def test_conservative_window_equals_lookahead(self):
-        kernel = _task_queue_kernel(policy="conservative")
+    def test_conservative_window_equals_lookahead(self, monkeypatch):
+        # Every round drains each shard to exactly GVT + lookahead.
+        kernel = _task_queue_kernel()
         assert kernel.lookahead > 0
-        assert kernel.window == kernel.lookahead
-        assert all(shard.base is None for shard in kernel.shards)
+        gvts: list[float] = []
+        limits: list[float] = []
+        kernel.on_gvt = gvts.append
+        drain = _Shard.drain
 
-    def test_optimistic_window_is_lookahead_multiple(self):
-        kernel = _task_queue_kernel(policy="optimistic")
-        assert kernel.window == kernel.lookahead * DEFAULT_WINDOW_FACTOR
-        assert all(shard.base is not None for shard in kernel.shards)
+        def spy(self, limit):
+            limits.append(limit[0])
+            return drain(self, limit)
+
+        monkeypatch.setattr(_Shard, "drain", spy)
+        kernel.run()
+        assert gvts
+        assert limits == [
+            gvt + kernel.lookahead for gvt in gvts for _ in kernel.shards
+        ]
 
     def test_unshardable_system_rejected(self):
         def factory(owned):
@@ -280,107 +190,74 @@ class TestShardedSimulatorConfig:
             ShardedSimulator(factory, ShardPlan.from_groups(4, 2))
 
 
+class TestRetiredTaskQueueInputs:
+    # The two field names survive on TaskQueueConfig for the frozen
+    # benchmark's variants; any value that used to select a removed
+    # path must fail as a ReproError, not run something else.
+    @pytest.mark.parametrize(
+        "retired",
+        [{"shard_policy": "optimistic"}, {"shard_backend": "process"}],
+    )
+    def test_removed_values_raise_sharding_error(self, retired):
+        with pytest.raises(ShardingError, match="removed"):
+            run_task_queue(
+                TaskQueueConfig(n_nodes=5, total_tasks=4, shards=2, **retired)
+            )
+
+    def test_surviving_values_run(self):
+        result = run_task_queue(
+            TaskQueueConfig(
+                n_nodes=5,
+                total_tasks=4,
+                shards=2,
+                shard_policy="conservative",
+                shard_backend="inproc",
+            )
+        )
+        assert result.extra["all_executed"]
+
+
 class TestStragglerClassification:
+    def _route_one(self, kernel, lvt, token, monkeypatch):
+        injected: list[tuple] = []
+        monkeypatch.setattr(
+            _Shard, "inject", lambda self, key, msg: injected.append(key)
+        )
+        dst = next(iter(kernel.shards[1].owned))
+        kernel.shards[1].lvt = lvt
+        msg = Message(0, dst, "test.kind", payload=None, size_bytes=16)
+        kernel.shards[0].router.outbox.append((msg, 1.0, 1, token))
+        kernel._route_round()
+        return injected
+
     def test_arrival_exactly_at_lvt_is_a_straggler(self, monkeypatch):
         # The boundary case: a delivery whose key EQUALS the shard's
         # last executed key arrives in the executed past (key order is
         # execution order), so `<=` — not `<` — is the straggler test.
         kernel = _task_queue_kernel()
-        injected: list[_Delivery] = []
-        monkeypatch.setattr(
-            _Delivery, "inject", lambda self, machine: injected.append(self)
-        )
-        dst = next(iter(kernel.shards[1].owned))
-        token = (0.5, 0, 0)
-        key = (1.0, _DELIVERY_PRIORITY, token)
-        kernel.shards[1].front.lvt = key
-        msg = Message(0, dst, "test.kind", payload=None, size_bytes=16)
-        kernel.shards[0].front.router.outbox.append(
-            (msg, 1.0, 1, token, (0.5, 0, 0))
-        )
-        stragglers = kernel._route_round()
-        assert stragglers == {1: key}
-        assert kernel.stats.stragglers == 1
-        assert injected == []  # stragglers are not injected pre-rollback
+        key = (1.0, _DELIVERY_PRIORITY, (0.5, 0, 0))
+        with pytest.raises(ShardingError, match="lookahead bound was violated"):
+            self._route_one(kernel, key, key[2], monkeypatch)
 
     def test_arrival_just_past_lvt_is_injected_normally(self, monkeypatch):
         kernel = _task_queue_kernel()
-        injected: list[_Delivery] = []
-        monkeypatch.setattr(
-            _Delivery, "inject", lambda self, machine: injected.append(self)
-        )
-        dst = next(iter(kernel.shards[1].owned))
         token = (0.5, 0, 1)
-        kernel.shards[1].front.lvt = (1.0, _DELIVERY_PRIORITY, (0.5, 0, 0))
-        msg = Message(0, dst, "test.kind", payload=None, size_bytes=16)
-        kernel.shards[0].front.router.outbox.append(
-            (msg, 1.0, 1, token, (0.5, 0, 0))
+        injected = self._route_one(
+            kernel, (1.0, _DELIVERY_PRIORITY, (0.5, 0, 0)), token, monkeypatch
         )
-        stragglers = kernel._route_round()
-        assert stragglers == {}
-        assert kernel.stats.stragglers == 0
-        assert [record.key for record in injected] == [
-            (1.0, _DELIVERY_PRIORITY, token)
-        ]
+        assert injected == [(1.0, _DELIVERY_PRIORITY, token)]
+        assert kernel.stats.routed == 1
 
-
-class TestCascadingRollback:
-    def test_executed_anti_message_cascades_to_consumer(self, monkeypatch):
-        # Shard 0 rolls back past an emission shard 1 already executed;
-        # annihilating it must roll shard 1 back too (and shard 1's own
-        # speculative emission back toward shard 0 must also die).
-        kernel = _task_queue_kernel()
-        restored: list[tuple[int, tuple]] = []
+    def test_over_reported_lookahead_fails_loudly(self, monkeypatch):
+        # The one way the window can be wrong: a lookahead larger than
+        # the real minimum cross-shard latency.  Shards then run past
+        # messages still in flight towards them; the run must end in
+        # ShardingError, never in a silently different state hash.
+        real = shards_module.min_cross_latency
         monkeypatch.setattr(
-            kernel,
-            "_restore",
-            lambda shard, target: restored.append((shard.index, target)),
+            shards_module,
+            "min_cross_latency",
+            lambda machine, owner: 50 * real(machine, owner),
         )
-        target0 = (1.0, _DELIVERY_PRIORITY, (0.9, 0, 0))
-        r1 = _delivery(
-            (2.0, _DELIVERY_PRIORITY, (1.5, 0, 1)),
-            emit_key=(1.5, 0, 3),
-            src_shard=0,
-            dst_shard=1,
-        )
-        r1.state = _EXECUTED
-        committed = _delivery(
-            (0.9, _DELIVERY_PRIORITY, (0.4, 0, 0)),
-            emit_key=(0.4, 0, 1),
-            src_shard=0,
-            dst_shard=1,
-        )
-        committed.state = _EXECUTED
-        kernel.shards[0].outputs.extend([committed, r1])
-        r2 = _delivery(
-            (3.0, _DELIVERY_PRIORITY, (2.6, 3, 0)),
-            emit_key=(2.6, 0, 9),
-            src_shard=1,
-            dst_shard=0,
-        )
-        r2.state = _EXECUTED
-        kernel.shards[1].outputs.append(r2)
-        kernel._rollback({0: target0}, gvt=0.0)
-        assert r1.state == _ANNIHILATED
-        assert r2.state == _ANNIHILATED
-        # The emission committed before the rollback point survives.
-        assert committed.state == _EXECUTED
-        assert kernel.stats.annihilated == 2
-        assert kernel.stats.rollbacks == 2
-        assert sorted(index for index, _ in restored) == [0, 1]
-        # Each shard restores to the earliest key that invalidated it.
-        targets = dict(restored)
-        assert targets[0] == target0
-        assert targets[1] == r1.key
-
-
-class TestShardStats:
-    def test_rollback_ratio(self):
-        stats = ShardStats()
-        assert stats.rollback_ratio() == 0.0
-        stats.executed = 100
-        stats.replayed = 25
-        assert stats.rollback_ratio() == 0.25
-        summary = stats.summary()
-        assert summary["executed"] == 100
-        assert summary["rollback_ratio"] == 0.25
+        with pytest.raises(ShardingError, match="lookahead bound was violated"):
+            run_task_queue(TaskQueueConfig(n_nodes=5, total_tasks=16, shards=2))

@@ -144,6 +144,13 @@ class TestCli:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize("flag", ["--shard-policy", "--shard-backend"])
+    def test_removed_shard_flags_are_usage_errors(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["figure2", flag, "x"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_reproduce_command_digest(self, capsys):
         # Tiny custom scale via the quick defaults; the digest must end
         # with every expectation holding.
