@@ -2,45 +2,21 @@
 
 PY ?= python
 
-.PHONY: install test chaos-smoke failover-smoke campaign-smoke shard-smoke sharded-root-smoke goldens verify-goldens bench bench-full bench-json perf-smoke bench-selftest profile examples figures all clean
+.PHONY: install test smoke goldens verify-goldens bench bench-full bench-json perf-smoke bench-selftest profile examples figures all clean
 
 install:
 	$(PY) setup.py develop
 
 test:
 	PYTHONPATH=src $(PY) -m pytest tests/
-	PYTHONPATH=src $(PY) -m repro chaos --smoke
-	PYTHONPATH=src $(PY) -m repro chaos --scenario crash_root --seeds 3
-	PYTHONPATH=src $(PY) -m repro campaign --smoke
-	PYTHONPATH=src $(PY) -m repro sharded-root-smoke
+	$(MAKE) smoke
 
-# Deterministic fault-injection mini-matrix (< 30 s); part of `make test`.
-chaos-smoke:
-	PYTHONPATH=src $(PY) -m repro chaos --smoke
-
-# Seeded root-kill matrix (GWC family x 3 seeds, byte-identical per
-# seed); part of `make test`.  Kills each group root mid-critical-
-# section and requires election + reconstruction to converge.
-failover-smoke:
-	PYTHONPATH=src $(PY) -m repro chaos --scenario crash_root --seeds 3
-
-# Randomized fault-campaign smoke: seeded generated plans across the
-# chaos profiles, live-checked by the invariant oracles (< 10 s);
-# part of `make test`.
-campaign-smoke:
-	PYTHONPATH=src $(PY) -m repro campaign --smoke
-
-# Shard-parity smoke: quick figure2/figure8 points under the sharded
-# kernel must hash bit-identical to serial runs.
-shard-smoke:
-	PYTHONPATH=src $(PY) -m repro shard-smoke
-	PYTHONPATH=src $(PY) -m repro shard-smoke --shards 4
-
-# Sharded-root parity smoke: serial vs root-sharded state hashes across
-# partition counts, relay fanouts, and an online re-partition, on two
-# (seed, topology) triples; part of `make test`.
-sharded-root-smoke:
-	PYTHONPATH=src $(PY) -m repro sharded-root-smoke
+# The fault and parity smokes, each the same run its golden surface
+# snapshots (< 1 s in all): chaos mini-matrix, root-kill failover matrix,
+# randomized campaign, sharded-kernel and sharded-root state-hash parity.
+# Exit 1 names the experiment whose expectation failed.
+smoke:
+	PYTHONPATH=src $(PY) -m repro reproduce chaos failover campaign shard_smoke sharded_root
 
 # Continuous-verify drift gate: regenerate every golden surface and
 # compare bit-for-bit against the committed goldens/ tree.  Exit 0
@@ -90,11 +66,7 @@ examples:
 	for script in examples/*.py; do echo "== $$script"; $(PY) $$script; done
 
 figures:
-	$(PY) -m repro figure1
-	$(PY) -m repro figure2 --chart
-	$(PY) -m repro figure8 --chart
-	$(PY) -m repro figure7
-	$(PY) -m repro grouping
+	PYTHONPATH=src $(PY) -m repro reproduce
 
 all: test bench
 

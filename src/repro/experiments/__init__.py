@@ -3,10 +3,13 @@
 Each experiment module exposes a ``run_*`` function that sweeps the
 relevant parameter (consistency system, network size, threshold, ...),
 returns structured rows, and can render the same series the paper's
-figure reports via :func:`repro.metrics.report.format_table`.
+figure reports via :func:`repro.metrics.report.format_table` — and one
+:class:`~repro.experiments.common.Experiment` declaration, from which
+the CLI subcommand, golden surface, smoke run and benchmark are derived
+(:mod:`repro.experiments.registry`).
 
-The benchmark harness in ``benchmarks/`` calls these with reduced sizes
-by default; set the environment variable ``REPRO_FULL=1`` to run the
+The benchmark harness in ``benchmarks/`` runs the quick presets by
+default; set the environment variable ``REPRO_FULL=1`` to run the
 paper-scale sweeps (1024 tasks, up to 129 processors).
 """
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.experiments.common import Experiment, PaperExpectation
 from repro.metrics.report import format_table
 from repro.net.topology import make_topology
 from repro.params import PAPER_PARAMS, MachineParams
@@ -150,3 +151,28 @@ def render(rows: list[AnalyticRow]) -> str:
         ],
         title="Analytic model vs. simulation (Figure 8 pipeline)",
     )
+
+
+EXPERIMENT = Experiment(
+    name="analytic",
+    help="closed-form pipeline model vs. simulation",
+    run=lambda **params: {"analytic.csv": run_analytic_validation(**params)},
+    render=lambda files: render(files["analytic.csv"]),
+    expectations=lambda files: [
+        PaperExpectation(
+            "the four-term model predicts simulated power within 3% at "
+            "every size, for both protocols",
+            all(
+                row.gwc_error < 0.03 and row.optimistic_error < 0.03
+                for row in files["analytic.csv"]
+            ),
+        ),
+        PaperExpectation(
+            "the model reproduces the optimistic advantage itself",
+            all(
+                row.predicted_optimistic > row.predicted_gwc
+                for row in files["analytic.csv"]
+            ),
+        ),
+    ],
+)

@@ -22,6 +22,13 @@ import dataclasses
 from dataclasses import dataclass
 
 from repro.errors import ExperimentError
+from repro.experiments.common import (
+    Experiment,
+    Files,
+    Flag,
+    PaperExpectation,
+    int_tuple,
+)
 from repro.metrics.report import format_table
 from repro.params import PAPER_PARAMS, MachineParams
 from repro.workloads.burst_writer import BurstWriterConfig, run_burst_writer
@@ -135,3 +142,43 @@ def render(rows: list[BurstRow]) -> str:
         ],
         title="Write-burst sensitivity: messages on the wire vs burst size",
     )
+
+
+def _expectations(files: Files) -> list[PaperExpectation]:
+    ordered = sorted(
+        files["burst.csv"],
+        key=lambda row: float("inf") if row.burst == 0 else row.burst,
+    )
+    return [
+        PaperExpectation(
+            "growing the burst never adds origin->root traffic",
+            all(
+                earlier.origin_messages >= later.origin_messages
+                for earlier, later in zip(ordered, ordered[1:])
+            ),
+        )
+    ]
+
+
+EXPERIMENT = Experiment(
+    name="burst",
+    help="write-burst sensitivity: wire messages vs burst size",
+    quick={"rounds": 4, "writes_per_round": 8},
+    run=lambda **params: {"burst.csv": run_burst_sweep(**params)},
+    render=lambda files: render(files["burst.csv"])
+    + "\n\nevery burst size converged to the identical final shared-memory "
+    "image (checked in-sweep)",
+    expectations=_expectations,
+    flags=(
+        Flag(
+            "--sizes",
+            "sizes",
+            int_tuple,
+            "comma-separated burst sizes, 0 = unbounded (default 1,2,4,8,0)",
+        ),
+        Flag("--nodes", "n_nodes"),
+        Flag("--rounds", "rounds", help="sync rounds per node"),
+        Flag("--writes", "writes_per_round", help="plain writes per node per round"),
+    ),
+    csv="burst.csv",
+)

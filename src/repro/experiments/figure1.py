@@ -14,7 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.common import PaperExpectation
+from repro.experiments.common import (
+    Experiment,
+    Files,
+    Flag,
+    PaperExpectation,
+    claims_payload,
+)
 from repro.metrics.report import format_table
 from repro.params import PAPER_PARAMS, MachineParams
 from repro.workloads.contention import ContentionConfig, run_contention
@@ -114,3 +120,30 @@ def render(rows: list[Figure1Row]) -> str:
         ],
         title="Figure 1: three contending critical sections (3 CPUs)",
     )
+
+
+def _run(**params) -> Files:
+    rows = run_figure1(**params)
+    return {
+        "figure1.json": {
+            "rows": rows,
+            "expectations": claims_payload(expectations(rows)),
+        }
+    }
+
+
+def _microseconds(text: str) -> float:
+    return float(text) * 1e-6
+
+
+EXPERIMENT = Experiment(
+    name="figure1",
+    help="Figure 1: 3-CPU locking comparison",
+    run=_run,
+    render=lambda files: render(files["figure1.json"]["rows"]),
+    expectations=lambda files: expectations(files["figure1.json"]["rows"]),
+    flags=(
+        Flag("--update-us", "update_time", _microseconds),
+        Flag("--delay-us", "cpu2_delay", _microseconds),
+    ),
+)

@@ -31,6 +31,7 @@ from repro.core.machine import DSMMachine
 from repro.core.node import NodeHandle
 from repro.core.section import Section, SectionContext
 from repro.errors import ExperimentError
+from repro.experiments.common import SIZES, Experiment, Files, PaperExpectation
 from repro.metrics.report import format_table
 from repro.params import PAPER_PARAMS, MachineParams
 
@@ -149,10 +150,7 @@ class GroupingRow:
     n_nodes: int
     split_elapsed: float
     merged_elapsed: float
-
-    @property
-    def slowdown(self) -> float:
-        return self.merged_elapsed / self.split_elapsed
+    slowdown: float
 
 
 def run_grouping_sweep(
@@ -173,6 +171,7 @@ def run_grouping_sweep(
                 n_nodes=n_nodes,
                 split_elapsed=split["elapsed"],
                 merged_elapsed=merged["elapsed"],
+                slowdown=merged["elapsed"] / split["elapsed"],
             )
         )
     return rows
@@ -192,3 +191,32 @@ def render(rows: list[GroupingRow]) -> str:
         ],
         title="Grouping ablation: per-group roots vs one global root",
     )
+
+
+def _expectations(files: Files) -> list[PaperExpectation]:
+    rows = files["grouping.csv"]
+    checks = [
+        PaperExpectation(
+            "one global root is more than 1.5x slower than per-group "
+            "roots at every size",
+            all(row.slowdown > 1.5 for row in rows),
+        )
+    ]
+    if len(rows) > 1:
+        checks.append(
+            PaperExpectation(
+                "the largest machine suffers the most total root load",
+                rows[-1].merged_elapsed > rows[0].merged_elapsed,
+            )
+        )
+    return checks
+
+
+EXPERIMENT = Experiment(
+    name="grouping",
+    help="per-group roots vs one global root (section 1.2)",
+    run=lambda **params: {"grouping.csv": run_grouping_sweep(**params)},
+    render=lambda files: render(files["grouping.csv"]),
+    expectations=_expectations,
+    flags=(SIZES,),
+)

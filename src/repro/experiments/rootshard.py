@@ -19,10 +19,17 @@ write share stays within 2x the mean root's share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.errors import WorkloadError
-from repro.experiments.common import PaperExpectation
+from repro.experiments.common import (
+    JOBS,
+    SIZES,
+    Experiment,
+    Files,
+    Flag,
+    PaperExpectation,
+)
 from repro.experiments.runner import SweepExecutor
 from repro.metrics.report import format_table
 from repro.params import PAPER_PARAMS, MachineParams
@@ -30,6 +37,9 @@ from repro.workloads.rootshard import RootShardConfig, run_rootshard
 
 #: Acceptance bar: hottest root <= 2x the mean root, post-rebalance.
 MAX_OVER_MEAN_BAR = 2.0
+
+QUICK = {"sizes": (16, 64, 128)}
+FULL = {"sizes": (16, 64, 256, 1024)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,7 +145,7 @@ def _rootshard_point(
 
 
 def run_rootshard_sweep(
-    sizes: tuple[int, ...] = (16, 64, 256, 1024),
+    sizes: tuple[int, ...] = FULL["sizes"],
     roots: int = 4,
     fanout: int | None = 8,
     seed: int = 0,
@@ -220,3 +230,143 @@ def render(rows: list[RootShardRow]) -> str:
         ],
         title="Sharded roots: serial parity and per-root load",
     )
+
+
+def _render(files: Files) -> str:
+    rows = files["rootshard.csv"]
+    return "\n".join(
+        [render(rows), ""]
+        + [
+            f"  n={row.n_nodes}: per-root load after re-partition "
+            f"{row.load_after} (before fence: {row.load_before})"
+            for row in rows
+            if row.load_after
+        ]
+    )
+
+
+EXPERIMENT = Experiment(
+    name="rootshard",
+    help="sharded group roots: serial parity + per-root load sweep",
+    quick=QUICK,
+    full=FULL,
+    run=lambda **params: {"rootshard.csv": run_rootshard_sweep(**params)},
+    render=_render,
+    expectations=lambda files: expectations(files["rootshard.csv"]),
+    flags=(
+        SIZES,
+        Flag("--roots", "roots", help="root partitions per group (default 4)"),
+        Flag(
+            "--fanout",
+            "fanout",
+            lambda text: int(text) or None,
+            "relay-tree fanout for hierarchical multicast (default 8); "
+            "0 = direct",
+        ),
+        Flag("--seed", "seed"),
+        Flag(
+            "--no-rebalance",
+            "rebalance",
+            const=False,
+            help="skip the online re-partition of the injected hot key",
+        ),
+        JOBS,
+    ),
+)
+
+
+#: The small pinned workload every parity layout runs.
+_PARITY_BASE = RootShardConfig(
+    n_nodes=16,
+    roots=1,
+    cold_units=4,
+    cold_rounds=8,
+    n_lockers=6,
+    increments=4,
+    rebalance_frac=0.35,
+)
+
+
+def run_layout_parity(
+    layouts: tuple[tuple[int, "int | None", bool, int], ...]
+) -> Files:
+    """Serial-parity hashes plus handoff counters, one record per layout.
+
+    Every ``(roots, fanout, rebalance, partition_seed)`` layout — with
+    and without relay trees, with an online re-partition mid-run — must
+    converge to the byte-identical serial-baseline state.  The handoff
+    counters (moves, transferred locks, epoch restarts) are deterministic
+    per seed, so drift in the fence or migration order shows up here
+    before any sweep does.
+    """
+    serial_hash = run_rootshard(_PARITY_BASE).extra["shared_hash"]
+    records = []
+    for roots, fanout, rebalance, partition_seed in layouts:
+        config = replace(
+            _PARITY_BASE,
+            roots=roots,
+            fanout=fanout,
+            rebalance=rebalance,
+            partition_seed=partition_seed,
+        )
+        extra = run_rootshard(config).extra
+        records.append(
+            {
+                "seed": config.seed,
+                "partition_seed": partition_seed,
+                "topology": config.topology,
+                "n_nodes": config.n_nodes,
+                "roots": roots,
+                "fanout": fanout,
+                "rebalance": rebalance,
+                "serial_hash": serial_hash,
+                "sharded_hash": extra["shared_hash"],
+                "parity": extra["shared_hash"] == serial_hash,
+                "correct": extra["correct"],
+                "load_total": list(extra["load_total"]),
+                "migration_moves": len(extra["migration_moves"] or ()),
+                "locks_transferred": extra["locks_transferred"],
+                "relayed_applies": extra["relayed_applies"],
+                "epoch_restarts": extra["epoch_restarts"],
+            }
+        )
+    return {"sharded_root.json": {"records": records}}
+
+
+def _parity_expectations(files: Files) -> list[PaperExpectation]:
+    records = files["sharded_root.json"]["records"]
+    return [
+        PaperExpectation(
+            "every root layout converges to the serial run's shared state "
+            "with correct finals",
+            all(r["parity"] and r["correct"] for r in records),
+        ),
+        PaperExpectation(
+            "the rebalance point migrated units and handed a lock between "
+            "two live roots (the handoff golden is not vacuous)",
+            any(
+                r["rebalance"] and r["migration_moves"] > 0 and r["locks_transferred"]
+                for r in records
+            ),
+        ),
+    ]
+
+
+SHARDED_ROOT = Experiment(
+    name="sharded_root",
+    help="sharded-root serial-parity hashes + handoff counters",
+    # (roots, fanout, rebalance, partition seed).  The last layout's
+    # partition seed deliberately lands the hot key on a crowded root so
+    # the mid-run rebalance provably migrates units (including a lock
+    # handoff between two live roots).
+    quick={
+        "layouts": (
+            (2, None, False, 0),
+            (4, None, False, 0),
+            (4, 3, False, 0),
+            (4, 3, True, 1),
+        )
+    },
+    run=run_layout_parity,
+    expectations=_parity_expectations,
+)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.experiments.common import JOBS, Experiment, Files, PaperExpectation
 from repro.experiments.runner import SweepExecutor
 from repro.metrics.report import format_table
 from repro.params import PAPER_PARAMS, MachineParams
@@ -108,3 +109,49 @@ def render(rows: list[SensitivityRow]) -> str:
         ],
         title="Sensitivity: network power vs. network cost (Fig. 8 pipeline)",
     )
+
+
+def _run(jobs: int | None = None) -> Files:
+    return {
+        "hop_latency.csv": run_hop_latency_sweep(jobs=jobs),
+        "bandwidth.csv": run_bandwidth_sweep(jobs=jobs),
+    }
+
+
+def _expectations(files: Files) -> list[PaperExpectation]:
+    hops, bandwidth = files["hop_latency.csv"], files["bandwidth.csv"]
+    powers = [row.optimistic_power for row in bandwidth]
+    return [
+        # The ratio grows while the lock round trip still fits under the
+        # mutex section, then saturates: speculation can hide at most
+        # the section's own length.
+        PaperExpectation(
+            "the optimistic-over-regular gain grows with per-hop latency",
+            hops[1].optimistic_gain > hops[0].optimistic_gain,
+        ),
+        PaperExpectation(
+            "optimistic > non-optimistic GWC > entry at every hop latency",
+            all(
+                row.optimistic_power > row.gwc_power > row.entry_power
+                for row in hops
+            ),
+        ),
+        PaperExpectation(
+            "optimistic stays ahead of non-optimistic GWC at every bandwidth",
+            all(row.optimistic_power > row.gwc_power for row in bandwidth),
+        ),
+        PaperExpectation(
+            "scarcer bandwidth lowers network power",
+            powers == sorted(powers, reverse=True),
+        ),
+    ]
+
+
+EXPERIMENT = Experiment(
+    name="sensitivity",
+    help="network-cost sensitivity of the optimistic advantage",
+    run=_run,
+    render=lambda files: "\n\n".join(render(rows) for rows in files.values()),
+    expectations=_expectations,
+    flags=(JOBS,),
+)

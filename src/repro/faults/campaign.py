@@ -49,7 +49,15 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
 from repro.errors import ExperimentError, FaultError, ReproError
-from repro.faults.chaos import GWC_FAMILY, ChaosConfig, ChaosResult, chaos_csv_row, run_chaos
+from repro.faults.chaos import (
+    GWC_FAMILY,
+    WORKLOADS,
+    ChaosConfig,
+    ChaosResult,
+    chaos_csv_row,
+    require_known,
+    run_chaos,
+)
 from repro.faults.plan import (
     CRASH,
     DELAY,
@@ -61,7 +69,6 @@ from repro.faults.plan import (
     partition,
     restart,
 )
-from repro.goldens.writer import RunWriter
 from repro.net.topology import make_topology
 from repro.params import PAPER_PARAMS, MachineParams
 from repro.workloads import counter as counter_wl
@@ -309,6 +316,35 @@ class CampaignConfig:
     section_time_s: float | None = None
     params: MachineParams = PAPER_PARAMS
 
+    def validate(self) -> None:
+        """Reject an unrunnable campaign with a :class:`FaultError`.
+
+        The one copy of the campaign input checks:
+        :func:`campaign_trials` calls it first, and the CLI maps a
+        failure to a usage error (exit 2) before running anything.
+        """
+        require_known("profile", self.profile, PROFILES + ("all",))
+        require_known("workload", self.workload, WORKLOADS)
+        non_gwc = [name for name in self.systems if name not in GWC_FAMILY]
+        if non_gwc:
+            raise FaultError(
+                f"campaign trials need the GWC-family recovery stack; "
+                f"{', '.join(non_gwc)} not in: {', '.join(GWC_FAMILY)}"
+            )
+        if self.trials < 1:
+            raise FaultError(f"campaign needs >= 1 trial (got {self.trials})")
+        if self.n_nodes < 3:
+            raise FaultError(
+                f"campaign plans need >= 3 nodes for survivable faults "
+                f"(got {self.n_nodes})"
+            )
+        if not _campaign_profiles(self):
+            raise FaultError(
+                "task_queue campaigns need a crash-free profile "
+                f"({', '.join(CRASH_FREE_PROFILES)} or 'all'); crashed "
+                "consumers permanently lose their claimed task"
+            )
+
 
 @dataclass(frozen=True, slots=True)
 class CampaignTrial:
@@ -326,38 +362,16 @@ class CampaignTrial:
 
 
 def _campaign_profiles(config: CampaignConfig) -> tuple[str, ...]:
-    if config.profile == "all":
-        profiles: tuple[str, ...] = PROFILES
-    elif config.profile in PROFILES:
-        profiles = (config.profile,)
-    else:
-        raise FaultError(
-            f"unknown campaign profile {config.profile!r}; known: "
-            f"{', '.join(PROFILES + ('all',))}"
-        )
+    """The profiles the trials cycle through (empty: none is runnable)."""
+    profiles = PROFILES if config.profile == "all" else (config.profile,)
     if config.workload == "task_queue":
         profiles = tuple(p for p in profiles if p in CRASH_FREE_PROFILES)
-        if not profiles:
-            raise FaultError(
-                "task_queue campaigns need a crash-free profile "
-                f"({', '.join(CRASH_FREE_PROFILES)} or 'all'); crashed "
-                "consumers permanently lose their claimed task"
-            )
     return profiles
 
 
 def campaign_trials(config: CampaignConfig) -> list[CampaignTrial]:
     """Enumerate the campaign deterministically (no RNG draws here)."""
-    if config.trials < 1:
-        raise FaultError(f"campaign needs >= 1 trial (got {config.trials})")
-    if config.workload not in ("counter", "task_queue"):
-        raise FaultError(f"unknown campaign workload {config.workload!r}")
-    for system in config.systems:
-        if system not in GWC_FAMILY:
-            raise FaultError(
-                f"campaign trials need the GWC-family recovery stack; "
-                f"{system!r} is not in {GWC_FAMILY}"
-            )
+    config.validate()
     profiles = _campaign_profiles(config)
     if config.workload == "counter":
         lock, group = counter_wl.LOCK, counter_wl.GROUP
@@ -600,6 +614,10 @@ class TrialOutcome:
     minimized: "Minimization | None" = None
     bundle_path: str | None = None
 
+    def csv_row(self) -> dict[str, Any]:
+        """The summary-CSV row (``to_csv`` reads it)."""
+        return self.row
+
 
 @dataclass(slots=True)
 class CampaignResult:
@@ -710,22 +728,23 @@ def _chaos_run_row(
     return chaos_run_row(values, prefix=prefix)
 
 
-def smoke_config() -> CampaignConfig:
-    """The fixed bounded campaign behind ``repro campaign --smoke``.
+#: The fixed bounded campaign behind ``repro campaign --smoke`` and the
+#: ``campaign`` golden surface — keep it stable and fast (it runs inside
+#: ``make test``).
+SMOKE_FIELDS = dict(
+    trials=6,
+    seed=7,
+    profile="all",
+    n_nodes=6,
+    ops_per_node=6,
+    topologies=("mesh_torus",),
+    shard_trials=2,
+    minimize=False,
+)
 
-    Also the exact configuration the ``campaign`` golden surface
-    snapshots — keep it stable and fast (runs inside ``make test``).
-    """
-    return CampaignConfig(
-        trials=6,
-        seed=7,
-        profile="all",
-        n_nodes=6,
-        ops_per_node=6,
-        topologies=("mesh_torus",),
-        shard_trials=2,
-        minimize=False,
-    )
+
+def smoke_config() -> CampaignConfig:
+    return CampaignConfig(**SMOKE_FIELDS)
 
 
 # ----------------------------------------------------------------------
@@ -945,6 +964,10 @@ def write_bundle(
     ``oracle.json`` records the signature, the violated oracle, and the
     monitor's evidence trail.
     """
+    # Imported here: the goldens package enumerates the experiment
+    # registry, which declares the campaign experiment from this module.
+    from repro.goldens.writer import RunWriter
+
     directory = pathlib.Path(directory)
     run = RunWriter(directory, BUNDLE_SURFACE)
     assert trial.config is not None
@@ -994,6 +1017,7 @@ __all__ = [
     "DEFAULT_PROBE_BUDGET",
     "Minimization",
     "PROFILES",
+    "SMOKE_FIELDS",
     "TrialOutcome",
     "campaign_trials",
     "ddmin",

@@ -28,9 +28,9 @@ schedules are safe there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
-from repro.consistency.base import make_system
+from repro.consistency.base import make_system, system_names
 from repro.consistency.checker import MutualExclusionChecker
 from repro.core.machine import DSMMachine
 from repro.core.node import NodeHandle
@@ -39,6 +39,8 @@ from repro.errors import FaultError, InvariantViolationError, StallError
 from repro.faults.failover import RootFailoverManager
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
+    CRASH,
+    DELAY,
     FaultPlan,
     crash,
     delay,
@@ -65,14 +67,21 @@ SCENARIOS = (
     "duplicate",
 )
 
+#: Scenarios that kill a node (only meaningful on the counter workload).
+CRASH_SCENARIOS = ("crash_holder", "crash_root", "churn")
+
 #: Scenarios that require GWC-family recovery support.
-_RECOVERY_SCENARIOS = (
-    "crash_holder",
-    "crash_root",
-    "churn",
-    "partition",
-    "duplicate",
-)
+_RECOVERY_SCENARIOS = CRASH_SCENARIOS + ("partition", "duplicate")
+
+WORKLOADS = ("counter", "task_queue")
+
+
+def require_known(kind: str, value: str, known: Sequence[str]) -> None:
+    """Reject an unknown name, in the one diagnostic shape the chaos and
+    campaign checks share: ``unknown <kind> 'x'; known: a, b, c``."""
+    if value not in known:
+        raise FaultError(f"unknown {kind} {value!r}; known: {', '.join(known)}")
+
 
 #: The deterministic smoke mini-matrix behind ``repro chaos --smoke``:
 #: every scenario, both workloads, and one non-GWC system, as
@@ -160,6 +169,51 @@ class ChaosConfig:
     section_time: float | None = None
     system_kwargs: dict[str, Any] = field(default_factory=dict)
 
+    @property
+    def has_crashes(self) -> bool:
+        """Does the schedule kill a node?  An explicit plan may carry any
+        scenario label (campaign trials use ``campaign:<profile>``), so
+        its actual event kinds decide, not the label."""
+        if self.plan is None:
+            return self.scenario in CRASH_SCENARIOS
+        return any(event.kind == CRASH for event in self.plan.events)
+
+    def validate(self) -> None:
+        """Reject an unrunnable configuration with a :class:`FaultError`.
+
+        The one copy of the chaos input checks: :func:`run_chaos` calls
+        it first, and the CLI calls it on every run of a matrix before
+        starting any (a failure there is a usage error, exit 2).
+        """
+        gwc_family = self.system in GWC_FAMILY
+        if self.plan is None:
+            require_known("scenario", self.scenario, SCENARIOS)
+            needs_recovery = self.scenario in _RECOVERY_SCENARIOS
+        else:
+            needs_recovery = any(
+                event.kind != DELAY for event in self.plan.events
+            )
+        require_known("workload", self.workload, WORKLOADS)
+        require_known("system", self.system, system_names())
+        if needs_recovery and not gwc_family:
+            raise FaultError(
+                f"scenario {self.scenario!r} needs the GWC-family recovery "
+                f"stack; system {self.system!r} only supports 'delay'"
+            )
+        if self.workload == "task_queue" and self.has_crashes:
+            # A crashed consumer takes its claimed-but-unfinished task
+            # with it, so the producer's completion condition can never
+            # be met; crash scenarios run on the counter workload.
+            raise FaultError(
+                "crash scenarios are only meaningful on the counter workload "
+                "(a crashed consumer permanently loses its claimed task)"
+            )
+        if self.broken_lease and not (self.recovery and gwc_family):
+            raise FaultError(
+                "broken_lease needs the lease machinery: recovery=True and a "
+                "GWC-family system"
+            )
+
 
 @dataclass(slots=True)
 class ChaosResult:
@@ -189,6 +243,10 @@ class ChaosResult:
     oracle: str | None = None
     #: The monitor's observation trail ending in the violation.
     oracle_evidence: tuple[str, ...] = ()
+
+    def csv_row(self) -> dict[str, Any]:
+        """This run on the shared chaos-run schema (``to_csv`` reads it)."""
+        return chaos_csv_row(self)
 
     def fingerprint(self) -> tuple:
         """Deterministic signature for same-seed reproducibility checks."""
@@ -332,20 +390,7 @@ def _default_plan(
             [duplicate(5 * unit, until=400 * unit, probability=0.5)],
             seed=config.seed,
         )
-    raise FaultError(f"unknown chaos scenario {scenario!r}; known: {SCENARIOS}")
-
-
-def _plan_needs_recovery(plan: FaultPlan) -> bool:
-    """Does an explicit plan exercise faults only GWC recovery survives?"""
-    from repro.faults.plan import DELAY
-
-    return any(event.kind != DELAY for event in plan.events)
-
-
-def _plan_crashes(plan: FaultPlan) -> bool:
-    from repro.faults.plan import CRASH
-
-    return any(event.kind == CRASH for event in plan.events)
+    raise FaultError(f"scenario {scenario!r} has no default plan")
 
 
 def _verify_chain_crash_tolerant(
@@ -380,41 +425,9 @@ def _verify_chain_crash_tolerant(
 
 def run_chaos(config: ChaosConfig) -> ChaosResult:
     """Run one seeded chaos schedule and verify the invariants."""
+    config.validate()
     gwc_family = config.system in GWC_FAMILY
-    if config.plan is None:
-        if config.scenario not in SCENARIOS:
-            raise FaultError(
-                f"unknown chaos scenario {config.scenario!r}; known: "
-                f"{SCENARIOS}"
-            )
-        needs_recovery = config.scenario in _RECOVERY_SCENARIOS
-        has_crashes = config.scenario in ("crash_holder", "crash_root", "churn")
-    else:
-        # An explicit plan may carry any scenario label (campaign trials
-        # use "campaign:<profile>"); compatibility derives from the
-        # plan's actual event kinds instead of the label.
-        needs_recovery = _plan_needs_recovery(config.plan)
-        has_crashes = _plan_crashes(config.plan)
-    if needs_recovery and not gwc_family:
-        raise FaultError(
-            f"scenario {config.scenario!r} needs the GWC-family recovery "
-            f"stack; system {config.system!r} only supports 'delay'"
-        )
-    if config.workload not in ("counter", "task_queue"):
-        raise FaultError(f"unknown chaos workload {config.workload!r}")
-    if config.workload == "task_queue" and has_crashes:
-        # A crashed consumer takes its claimed-but-unfinished task with
-        # it, so the producer's completion condition can never be met;
-        # crash scenarios run on the counter workload.
-        raise FaultError(
-            "crash scenarios are only meaningful on the counter workload "
-            "(a crashed consumer permanently loses its claimed task)"
-        )
-    if config.broken_lease and not (config.recovery and gwc_family):
-        raise FaultError(
-            "broken_lease needs the lease machinery: recovery=True and a "
-            "GWC-family system"
-        )
+    has_crashes = config.has_crashes
 
     checker = MutualExclusionChecker()
     machine = DSMMachine(

@@ -15,9 +15,9 @@ tamper-evident and every run is crash-safe.  This package is that fence:
 * :mod:`repro.goldens.manifest` — the manifest model and integrity
   checks;
 * :mod:`repro.goldens.diff` — per-file and per-field drift reports;
-* :mod:`repro.goldens.surfaces` — the registry of artifact-producing
-  surfaces (figures, ablations, sensitivity, grouping, replication,
-  bursts, chaos, failover, shard smoke, BENCH_kernel.json);
+* :mod:`repro.goldens.surfaces` — the artifact-producing surfaces: one
+  per experiment in :mod:`repro.experiments.registry`, plus the
+  BENCH_kernel.json projection;
 * :mod:`repro.goldens.verify` — the ``repro verify-goldens`` /
   ``repro update-goldens`` flows and the CI drift gate's exit codes.
 

@@ -3,8 +3,9 @@
 Exit-code contract (asserted by the test suite and relied on by CI):
 
 * ``0`` — clean: every golden surface regenerated bit-identical;
-* ``1`` — drift: at least one artifact changed, a golden is missing, or
-  a committed golden fails its own manifest integrity check;
+* ``1`` — drift: at least one artifact changed, a golden is missing, a
+  committed golden fails its own manifest integrity check, or a run
+  could not be generated (its expectations failed);
 * ``2`` — usage: unknown surface name, or an update attempted without
   the :data:`REGEN_ENV` kill-switch.
 
@@ -54,10 +55,20 @@ def regen_enabled(environ: dict[str, str] | None = None) -> bool:
     return env.get(REGEN_ENV, "") not in ("", "0")
 
 
-def _generate_into(surface: Surface, directory: pathlib.Path, out: Out) -> Manifest:
-    """Run one surface's generator crash-safely into ``directory``."""
+def _generate_into(
+    surface: Surface, directory: pathlib.Path, out: Out
+) -> Manifest | None:
+    """Run one surface's generator crash-safely into ``directory``.
+
+    ``None`` (after an ERROR line) when the run cannot be generated —
+    e.g. one of its expectations failed: a broken run is never a golden.
+    """
     run = RunWriter(directory, surface.name, out=out)
-    surface.generate(run)
+    try:
+        surface.generate(run)
+    except ReproError as exc:
+        out(f"[goldens] {surface.name:<12s} ERROR {exc}")
+        return None
     return run.finalize()
 
 
@@ -137,10 +148,8 @@ def verify_goldens(
             continue
         with tempfile.TemporaryDirectory(prefix="goldens-") as tmp:
             fresh_dir = pathlib.Path(tmp) / surface.name
-            try:
-                fresh = _generate_into(surface, fresh_dir, out)
-            except ReproError as exc:
-                out(f"[goldens] {surface.name:<12s} ERROR {exc}")
+            fresh = _generate_into(surface, fresh_dir, out)
+            if fresh is None:
                 drifted.append(surface.name)
                 continue
             lines = _compare_surface(surface, golden_dir, fresh_dir, fresh, out)
@@ -202,6 +211,8 @@ def update_goldens(
         with tempfile.TemporaryDirectory(prefix="goldens-") as tmp:
             fresh_dir = pathlib.Path(tmp) / surface.name
             fresh = _generate_into(surface, fresh_dir, out)
+            if fresh is None:
+                return EXIT_DRIFT
             had_goldens = (golden_dir / MANIFEST_NAME).is_file()
             lines: list[str] = []
             if had_goldens:

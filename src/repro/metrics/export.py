@@ -2,8 +2,8 @@
 
 The benchmark harness archives human-readable tables; this module
 additionally emits machine-readable CSV so the series can be re-plotted
-with external tooling.  Rows may be dataclasses, mappings, or plain
-sequences.
+with external tooling.  Rows may be dataclasses, mappings, objects with a
+``csv_row()`` method, or plain sequences.
 """
 
 from __future__ import annotations
@@ -18,6 +18,9 @@ from repro.errors import ExperimentError
 
 
 def _row_to_dict(row: Any) -> dict[str, Any]:
+    if hasattr(row, "csv_row"):
+        # A result object that carries more than its exported columns.
+        return dict(row.csv_row())
     if dataclasses.is_dataclass(row) and not isinstance(row, type):
         return dataclasses.asdict(row)
     if isinstance(row, dict):

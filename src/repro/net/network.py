@@ -462,8 +462,8 @@ class Network:
         direct = self._direct
         base_latency = self._base_latency
         last_arrival = self._last_arrival
-        inv_bandwidth = 1.0 / self._link_bandwidth
-        serials = [size * inv_bandwidth for size in sizes]
+        link_bandwidth = self._link_bandwidth
+        serials = [size / link_bandwidth for size in sizes]
         queue = self._queue
         heap = queue._heap
         seq = queue._next_seq
@@ -477,14 +477,15 @@ class Network:
             if base is None:
                 base = self.topology.hops(src, dst) * self._hop_latency
                 base_latency[key] = base
-            depart = now + base
             previous = last_arrival.get(key)
             # Build maximal segments of consecutive messages sharing one
             # clamped arrival; each segment is one heap entry.
             segment: list[Message] = []
             segment_arrival = -1.0
             for i in range(n_entries):
-                arrival = depart + serials[i]
+                # The same expression as send()/send_fanout(), so the
+                # per-message fallback rounds to the identical float.
+                arrival = now + (base + serials[i])
                 if previous is not None and arrival < previous:
                     arrival = previous
                 previous = arrival

@@ -132,11 +132,11 @@ class TestScenarios:
 
 class TestCompatibilityChecks:
     def test_unknown_scenario_rejected(self):
-        with pytest.raises(FaultError, match="unknown chaos scenario"):
+        with pytest.raises(FaultError, match="unknown scenario"):
             run_chaos(ChaosConfig(scenario="meteor"))
 
     def test_unknown_workload_rejected(self):
-        with pytest.raises(FaultError, match="unknown chaos workload"):
+        with pytest.raises(FaultError, match="unknown workload"):
             run_chaos(ChaosConfig(workload="raytracer"))
 
     @pytest.mark.parametrize("scenario", ["crash_holder", "partition"])

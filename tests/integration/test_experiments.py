@@ -45,6 +45,13 @@ class TestFigure1:
         assert by_system["gwc"] < by_system["entry"] < by_system["release"]
 
 
+    def test_ordering_is_robust_to_section_length(self):
+        rows = figure1.run_figure1(update_time=12e-6, cpu2_delay=25e-6)
+        by_system = {row.system: row.completion_time for row in rows}
+        assert by_system["gwc"] < by_system["entry"] < by_system["release"]
+        assert by_system["gwc_optimistic"] <= by_system["gwc"] * 1.001
+
+
 class TestFigure2:
     def test_expectations_hold(self, fig2_rows):
         checks = figure2.expectations(fig2_rows)

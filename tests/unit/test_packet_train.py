@@ -183,3 +183,18 @@ class TestFireTrain:
         )
         fire_train((seen.append, msgs))
         assert seen == list(msgs)
+
+
+class TestBurstSweepTraceTransparency:
+    """Whole-run parity: a traced run takes the per-message fallback in
+    ``send_fanout_train``, and must still report the very same floats."""
+
+    def test_rows_equal_on_train_path_and_traced_fallback(self, monkeypatch):
+        from repro.experiments.burst import EXPERIMENT, run_burst_sweep
+        from repro.sim.trace import Tracer
+
+        on_trains = run_burst_sweep(**EXPERIMENT.quick)
+        # Every Simulator built without a tracer now gets an enabled one.
+        monkeypatch.setattr("repro.sim.kernel.NullTracer", Tracer)
+        traced = run_burst_sweep(**EXPERIMENT.quick)
+        assert traced == on_trains

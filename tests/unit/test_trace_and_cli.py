@@ -78,7 +78,7 @@ class TestCli:
     def test_parser_knows_all_commands(self):
         parser = build_parser()
         for command in ("figure1", "figure2", "figure8", "figure7",
-                        "ablations", "systems", "chaos"):
+                        "ablation", "systems", "chaos"):
             args = parser.parse_args([command])
             assert args.command == command
 
