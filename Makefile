@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test smoke goldens verify-goldens bench bench-full bench-json perf-smoke bench-selftest profile examples figures all clean
+.PHONY: install test smoke goldens verify-goldens bench bench-full bench-json perf-smoke bench-selftest mutation-table profile examples figures all clean
 
 install:
 	$(PY) setup.py develop
@@ -13,10 +13,10 @@ test:
 
 # The fault and parity smokes, each the same run its golden surface
 # snapshots (< 1 s in all): chaos mini-matrix, root-kill failover matrix,
-# randomized campaign, sharded-kernel and sharded-root state-hash parity.
+# randomized campaign, sharded-root state-hash parity.
 # Exit 1 names the experiment whose expectation failed.
 smoke:
-	PYTHONPATH=src $(PY) -m repro reproduce chaos failover campaign shard_smoke sharded_root
+	PYTHONPATH=src $(PY) -m repro reproduce chaos failover campaign sharded_root
 
 # Continuous-verify drift gate: regenerate every golden surface and
 # compare bit-for-bit against the committed goldens/ tree.  Exit 0
@@ -50,6 +50,12 @@ perf-smoke:
 # so a change that breaks the ruler fails here first.
 bench-selftest:
 	PYTHONPATH=src $(PY) -m pytest benchmarks/layered/test_layered.py
+
+# Which test tier (goldens, smoke, unit) catches which seeded ordering
+# bug: one row per mutant, exit 1 if one survives every tier.  About
+# 35 s per mutant, so run by hand, not in `make test` or CI.
+mutation-table:
+	$(PY) tools/mutation_table.py
 
 # cProfile the quick Figure 2 + Figure 8 sweeps and print the top 20
 # hot spots by cumulative time (see docs/REPRODUCING.md, Performance).

@@ -12,8 +12,6 @@ targets:
   ``jobs=4`` workers,
 * deterministic write-burst ablation rows (wire messages at burst
   1 / 8 / unbounded — simulation counts, not timings),
-* one sharded-kernel row: serial wall time vs sharded wall time,
-  ``overhead_vs_serial``, and the serial-parity bit,
 * the speedup over the pre-optimization seed baseline,
 * a host fingerprint (CPU model + core count) so snapshots from
   different machines are never diffed against each other by accident.
@@ -174,31 +172,6 @@ def measure_burst_ablation() -> list[dict]:
     ]
 
 
-def measure_sharded_kernel() -> dict:
-    """Sharded-kernel row: serial wall vs sharded wall, overhead, parity.
-
-    Runs the quick Figure 2 task queue serial, then under the 4-shard
-    kernel.  ``overhead_vs_serial`` is sharded wall over serial wall —
-    cooperative in-process replicas do not beat the serial loop, and the
-    number says by how much.  ``parity`` is the bit the whole design
-    hangs on: the sharded state hash must equal the serial one.
-    """
-    from repro.workloads.task_queue import TaskQueueConfig, run_task_queue
-
-    base = dict(system="gwc", n_nodes=9, total_tasks=64)
-    serial = run_task_queue(TaskQueueConfig(**base))
-    serial_s = _best_of(lambda: run_task_queue(TaskQueueConfig(**base)))
-    sharded = run_task_queue(TaskQueueConfig(**base, shards=4))
-    wall_s = _best_of(lambda: run_task_queue(TaskQueueConfig(**base, shards=4)))
-    return {
-        "workload": "figure2 task queue (gwc, n=9, 64 tasks), 4 shards",
-        "serial_wall_s": round(serial_s, 4),
-        "wall_s": round(wall_s, 4),
-        "overhead_vs_serial": round(wall_s / serial_s, 2),
-        "parity": sharded.extra["state_hash"] == serial.extra["state_hash"],
-    }
-
-
 def _cpu_model() -> str:
     """Best-effort CPU model string for the host fingerprint."""
     try:
@@ -237,14 +210,13 @@ def collect_snapshot() -> dict:
     messages_per_sec = measure_messages_per_sec()
     messages_per_sec_batched = measure_messages_per_sec_batched()
     burst_ablation = measure_burst_ablation()
-    sharded = measure_sharded_kernel()
     figure2_s = _best_of(_quick_figure2)
     figure8_s = _best_of(_quick_figure8)
     combined_serial_s = _best_of(_quick_combined)
     combined_jobs4_s = _best_of(lambda: _quick_combined(jobs=4))
     combined_best_s = min(combined_serial_s, combined_jobs4_s)
     return {
-        "schema": 5,
+        "schema": 6,
         "generated_by": "benchmarks/test_perf_kernel.py",
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
@@ -260,7 +232,6 @@ def collect_snapshot() -> dict:
             "batched_speedup": round(messages_per_sec_batched / messages_per_sec, 2),
         },
         "burst_ablation": burst_ablation,
-        "sharded": sharded,
         "sweeps": {
             "figure2_quick_s": round(figure2_s, 4),
             "figure8_quick_s": round(figure8_s, 4),
@@ -326,7 +297,7 @@ def perf_smoke() -> int:
 def test_perf_snapshot_writes_bench_json():
     """Regenerate BENCH_kernel.json and sanity-check its contents."""
     snapshot = write_snapshot()
-    assert snapshot["schema"] == 5
+    assert snapshot["schema"] == 6
     assert snapshot["kernel"]["events_per_sec"] > 10_000
     assert snapshot["kernel"]["messages_per_sec"] > 10_000
     # The batching headline: train delivery must beat point-to-point
@@ -341,12 +312,6 @@ def test_perf_snapshot_writes_bench_json():
     assert [row["burst"] for row in ablation] == [1, 8, "unbounded"]
     origins = [row["origin_messages"] for row in ablation]
     assert origins[0] > origins[1] > origins[2]
-    # The sharded row: both wall times and the non-negotiable parity bit.
-    sharded = snapshot["sharded"]
-    assert sharded["serial_wall_s"] > 0
-    assert sharded["wall_s"] > 0
-    assert sharded["overhead_vs_serial"] > 0
-    assert sharded["parity"] is True
     assert snapshot["host"]["cpu_model"]
     assert snapshot["sweeps"]["combined_serial_s"] > 0
     assert BENCH_JSON.exists()

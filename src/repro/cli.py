@@ -91,8 +91,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         dest = flag.spelling.lstrip("-").replace("-", "_")
         if hasattr(args, dest):
             params[flag.param] = getattr(args, dest)
-        elif flag.env_default is not None:
-            params[flag.param] = flag.env_default()
     if exp.validate is not None:
         try:
             exp.validate(**params)

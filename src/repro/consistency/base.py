@@ -29,15 +29,6 @@ class DsmSystem(ABC):
     #: Short identifier used by experiments ("gwc", "entry", ...).
     name: str = "abstract"
 
-    #: Whether this system is safe to run under the sharded kernel
-    #: (:mod:`repro.sim.shards`).  A shardable system must be
-    #: *message-pure*: every cross-node interaction travels through
-    #: :meth:`Network.send` so replicas only communicate via routed,
-    #: timestamped messages.  Systems that mutate state at several
-    #: nodes from one handler (e.g. entry consistency's centralized
-    #: lock bookkeeping) are not shardable and fall back to serial.
-    shardable: bool = False
-
     def __init__(self, machine: "DSMMachine") -> None:  # noqa: F821
         self.machine = machine
 
@@ -206,24 +197,14 @@ class DsmSystem(ABC):
 
 #: Registry populated by the concrete system modules.
 _SYSTEM_FACTORIES: dict[str, Callable[["DSMMachine"], DsmSystem]] = {}  # noqa: F821
-_SHARDABLE_SYSTEMS: set[str] = set()
 
 
 def register_system(
     name: str,
     factory: Callable[["DSMMachine"], DsmSystem],  # noqa: F821
-    shardable: bool = False,
 ) -> None:
     """Register a consistency system under an experiment name."""
     _SYSTEM_FACTORIES[name] = factory
-    if shardable:
-        _SHARDABLE_SYSTEMS.add(name)
-
-
-def system_is_shardable(name: str) -> bool:
-    """Whether the named system may run under the sharded kernel."""
-    _import_implementations()
-    return name in _SHARDABLE_SYSTEMS
 
 
 def system_names() -> tuple[str, ...]:

@@ -600,10 +600,6 @@ class GwcSystem(DsmSystem):
     """Group write consistency with the regular Section 2 locks."""
 
     name = "gwc"
-    #: GWC is message-pure: updates, lock traffic, and sequencing all
-    #: travel through the network, and each node's handlers only touch
-    #: that node's own state — safe under the sharded kernel.
-    shardable = True
 
     def __init__(
         self,
@@ -749,5 +745,5 @@ class OptimisticGwcSystem(GwcSystem):
         return (yield from self.runner.run_section(node, section))
 
 
-register_system("gwc", GwcSystem, shardable=True)
-register_system("gwc_optimistic", OptimisticGwcSystem, shardable=True)
+register_system("gwc", GwcSystem)
+register_system("gwc_optimistic", OptimisticGwcSystem)

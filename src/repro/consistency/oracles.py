@@ -34,10 +34,6 @@ checker cannot see.  Armed oracles:
     break matching the crash-lost-write signature — the new read equals
     the previous entry's own read, and a crash has fired — is excused,
     mirroring the post-run crash-tolerant chain check.
-``gvt_monotonic``
-    (:class:`GvtMonitor`, sharded runs only) the sharded kernel's
-    global-virtual-time estimate decreased between rounds, which would
-    break fossil collection's commit guarantee.
 
 Every observation lands in a bounded evidence ring; on violation the
 monitor raises :class:`~repro.errors.InvariantViolationError` carrying
@@ -77,35 +73,7 @@ ORACLES = (
     "epoch_monotonic",
     "sequencer_gap",
     "single_writer",
-    "gvt_monotonic",
 )
-
-
-class GvtMonitor:
-    """GVT-monotonicity oracle for sharded campaign trials.
-
-    Hook it onto :attr:`repro.sim.shards.ShardedSimulator.on_gvt`; it
-    raises the moment a round's GVT estimate is below the previous
-    round's (an event would then have appeared below a horizon the
-    shards had already drained to).
-    """
-
-    def __init__(self, max_evidence: int = DEFAULT_EVIDENCE) -> None:
-        self.last: float | None = None
-        self.samples = 0
-        self.evidence: deque[str] = deque(maxlen=max_evidence)
-
-    def note(self, gvt: float) -> None:
-        self.samples += 1
-        self.evidence.append(f"round {self.samples}: gvt={gvt:.9g}")
-        if self.last is not None and gvt < self.last:
-            raise InvariantViolationError(
-                f"GVT moved backwards: {self.last:.9g} -> {gvt:.9g} at "
-                f"round {self.samples}",
-                oracle="gvt_monotonic",
-                evidence=tuple(self.evidence),
-            )
-        self.last = gvt
 
 
 class InvariantMonitor:
@@ -370,6 +338,5 @@ class InvariantMonitor:
 __all__ = [
     "DEFAULT_EVIDENCE",
     "ORACLES",
-    "GvtMonitor",
     "InvariantMonitor",
 ]

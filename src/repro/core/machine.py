@@ -75,12 +75,7 @@ class DSMMachine:
                     self.sim.rng.stream("loss"),
                     lossy_failover=lossy_failover,
                 )
-            # Recovery timeout: comfortably above one diameter crossing.
-            nack_timeout = max(
-                4.0 * self.topology.diameter() * params.hop_latency
-                + 16.0 * params.packet_bytes / params.link_bandwidth,
-                2e-6,
-            )
+            nack_timeout = params.nack_timeout(self.topology.diameter())
         self.nack_timeout = nack_timeout
         self.network = Network(self.sim, self.topology, params, self.loss_model)
         self.metrics = MachineMetrics(n_nodes)
@@ -101,11 +96,6 @@ class DSMMachine:
         self.families: dict[str, tuple[str, ...]] = {}
         #: family name -> deterministic unit->partition assignment.
         self.partition_maps: dict[str, RootPartitionMap] = {}
-        #: When this machine is one shard's replica of a sharded run
-        #: (see :mod:`repro.sim.shards`), the node ids this replica
-        #: authoritatively executes; ``None`` means a serial machine
-        #: that owns everything.  Gates :meth:`spawn_for`.
-        self.shard_owned: frozenset[int] | None = None
         self.groups: dict[str, SharingGroup] = {}
         self._kind_handlers: dict[str, KindHandler] = {}
         self._per_node_handlers: dict[
@@ -433,24 +423,6 @@ class DSMMachine:
     def spawn(
         self, gen: Generator[Any, Any, Any], name: str = "process"
     ) -> "Process":  # noqa: F821
-        return self.sim.spawn(gen, name)
-
-    def spawn_for(
-        self, node_id: int, gen: Generator[Any, Any, Any], name: str = "process"
-    ) -> "Process | None":  # noqa: F821
-        """Spawn a process that runs on ``node_id`` — shard-aware.
-
-        On a serial machine (``shard_owned is None``) this is exactly
-        :meth:`spawn`.  On a shard replica it only spawns processes for
-        nodes the replica owns; a non-owned node's generator is closed
-        unstarted (its process runs in that node's owning replica).
-        Workload drivers that use this for every process are sharding-
-        ready with no other changes.
-        """
-        owned = self.shard_owned
-        if owned is not None and node_id not in owned:
-            gen.close()
-            return None
         return self.sim.spawn(gen, name)
 
     def run(

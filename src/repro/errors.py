@@ -20,16 +20,6 @@ class ProcessError(SimulationError):
     """A simulated process misbehaved (bad yield value, double resume...)."""
 
 
-class ShardingError(SimulationError):
-    """The sharded kernel was misused or detected an internal inconsistency.
-
-    Raised for unshardable configurations (non-message-pure consistency
-    systems, random loss models, zero cross-shard lookahead) and for
-    invariant violations such as a straggler, which the lookahead bound
-    proves impossible.
-    """
-
-
 class StallError(SimulationError):
     """The progress watchdog detected a silent hang.
 
@@ -76,15 +66,13 @@ class SequencingError(ConsistencyError):
 class InvariantViolationError(ConsistencyError):
     """An online safety oracle caught a violated invariant mid-run.
 
-    Raised by :class:`repro.consistency.oracles.InvariantMonitor` (and
-    :class:`~repro.consistency.oracles.GvtMonitor` under sharding) the
+    Raised by :class:`repro.consistency.oracles.InvariantMonitor` the
     instant an armed invariant fails: lock mutual exclusion, sequencer
-    epoch/cursor monotonicity, apply-stream gap absence, single-writer
-    token integrity, or GVT monotonicity.  ``oracle`` names the failed
-    check and ``evidence`` carries the monitor's recent observation
-    trail ending in the violating observation, so a campaign repro
-    bundle can show *how* the run reached the bad state, not just that
-    it did.
+    epoch/cursor monotonicity, apply-stream gap absence, or single-writer
+    token integrity.  ``oracle`` names the failed check and ``evidence``
+    carries the monitor's recent observation trail ending in the
+    violating observation, so a campaign repro bundle can show *how* the
+    run reached the bad state, not just that it did.
     """
 
     def __init__(

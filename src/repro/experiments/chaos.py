@@ -215,7 +215,7 @@ def _run_campaign(**fields: Any) -> Files:
 
 def _plan_events(outcome: TrialOutcome) -> str:
     config = outcome.trial.config
-    if config is None or config.plan is None:
+    if config.plan is None:
         return "-"
     if outcome.minimized is None:
         return f"{len(config.plan.events)}"
@@ -225,13 +225,8 @@ def _plan_events(outcome: TrialOutcome) -> str:
 #: Campaign table: header -> cell.
 _TRIAL_COLUMNS = {
     "trial": lambda o: o.trial.index,
-    "kind": lambda o: o.trial.kind,
     "profile": lambda o: o.trial.profile,
-    "system": lambda o: (
-        o.trial.system
-        if o.trial.kind == "chaos"
-        else f"{o.trial.system} x{o.trial.shards}"
-    ),
+    "system": lambda o: o.trial.system,
     "topology": lambda o: o.trial.topology,
     "status": lambda o: "ok" if o.ok else "FAIL",
     "signature": lambda o: "/".join(o.signature) if o.signature else "-",

@@ -22,8 +22,6 @@ import os
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
-from repro.experiments.runner import default_shards
-
 SCALE_QUICK = "quick"
 SCALE_FULL = "full"
 
@@ -80,9 +78,6 @@ class Flag:
     help: str = ""
     #: When set, the flag is a switch storing this value (``--no-x``).
     const: Any = None
-    #: Called when the flag is absent; replaces the preset's value (how
-    #: ``$REPRO_SHARDS`` reaches a preset that pins ``shards=1``).
-    env_default: Callable[[], Any] | None = None
 
 
 JOBS = Flag(
@@ -90,14 +85,6 @@ JOBS = Flag(
     "jobs",
     help="worker processes for sweep points (default: $REPRO_JOBS, else "
     "serial); results are identical at any job count",
-)
-SHARDS = Flag(
-    "--shards",
-    "shards",
-    env_default=default_shards,
-    help="run GWC-family points under the sharded kernel with N shards "
-    "(default: $REPRO_SHARDS, else serial); final state is bit-identical "
-    "at any shard count",
 )
 SIZES = Flag("--sizes", "sizes", int_tuple, "comma-separated sweep sizes")
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from repro.experiments.common import (
     JOBS,
-    SHARDS,
     SIZES,
     Experiment,
     Files,
@@ -24,16 +23,15 @@ from repro.experiments.common import (
     claims_payload,
     scale_preset,
 )
-from repro.experiments.runner import SweepExecutor, default_shards
+from repro.experiments.runner import SweepExecutor
 from repro.metrics.report import format_table
 from repro.params import PAPER_PARAMS, MachineParams
 from repro.workloads.task_queue import TaskQueueConfig, run_task_queue
 
 
-#: Reduced and paper scale: networks of 2^k + 1 processors.  ``shards``
-#: is pinned so golden runs never depend on ``$REPRO_SHARDS``.
-QUICK = {"sizes": (3, 5, 9, 17), "total_tasks": 128, "shards": 1}
-FULL = {"sizes": (3, 5, 9, 17, 33, 65, 129), "total_tasks": 1024, "shards": 1}
+#: Reduced and paper scale: networks of 2^k + 1 processors.
+QUICK = {"sizes": (3, 5, 9, 17), "total_tasks": 128}
+FULL = {"sizes": (3, 5, 9, 17, 33, 65, 129), "total_tasks": 1024}
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,38 +45,20 @@ class Figure2Row:
 
 
 def _figure2_point(
-    point: tuple[int, int, float, float, MachineParams, int],
+    point: tuple[int, int, float, float, MachineParams],
 ) -> Figure2Row:
     """One network size's three series (module-level: picklable)."""
-    (
-        n_nodes,
-        total_tasks,
-        task_time,
-        produce_ratio,
-        params,
-        shards,
-    ) = point
+    n_nodes, total_tasks, task_time, produce_ratio, params = point
     base = dict(
         n_nodes=n_nodes,
         total_tasks=total_tasks,
         task_time=task_time,
         produce_ratio=produce_ratio,
     )
-    # Sharding applies to the GWC series only: the ideal series uses
-    # zero delays (no cross-shard lookahead) and entry consistency is
-    # not message-pure; both fall back to serial anyway, so request it
-    # only where it can run.
     ideal = run_task_queue(
         TaskQueueConfig(system="gwc", params=params.zero_delay(), **base)
     )
-    gwc = run_task_queue(
-        TaskQueueConfig(
-            system="gwc",
-            params=params,
-            shards=shards,
-            **base,
-        )
-    )
+    gwc = run_task_queue(TaskQueueConfig(system="gwc", params=params, **base))
     entry = run_task_queue(TaskQueueConfig(system="entry", params=params, **base))
     for result in (ideal, gwc, entry):
         if not result.extra["all_executed"]:
@@ -100,7 +80,6 @@ def run_figure2(
     produce_ratio: float = 1.0 / 128.0,
     params: MachineParams = PAPER_PARAMS,
     jobs: int | None = None,
-    shards: int | None = None,
 ) -> list[Figure2Row]:
     """Sweep network sizes for the GWC and entry consistency series.
 
@@ -110,24 +89,14 @@ def run_figure2(
 
     Each network size is an independent simulation point; ``jobs``
     (default: the ``REPRO_JOBS`` env var) fans them across worker
-    processes without changing any result.  ``shards`` (default: the
-    ``REPRO_SHARDS`` env var) runs each GWC point under the sharded
-    kernel — results are bit-identical to serial by construction.
+    processes without changing any result.
     """
     scale = scale_preset(QUICK, FULL)
     sizes = sizes if sizes is not None else scale["sizes"]
     total_tasks = total_tasks if total_tasks is not None else scale["total_tasks"]
-    shards = default_shards() if shards is None else max(1, int(shards))
     executor = SweepExecutor(jobs)
     points = [
-        (
-            n_nodes,
-            total_tasks,
-            task_time,
-            produce_ratio,
-            params,
-            shards,
-        )
+        (n_nodes, total_tasks, task_time, produce_ratio, params)
         for n_nodes in sizes
     ]
     return executor.map(_figure2_point, points)
@@ -231,6 +200,6 @@ EXPERIMENT = Experiment(
     render=lambda files: render(files["figure2.csv"]),
     expectations=lambda files: expectations(files["figure2.csv"])
     + _paper_scale_bands(files["figure2.csv"]),
-    flags=(SIZES, Flag("--tasks", "total_tasks"), SHARDS, JOBS),
+    flags=(SIZES, Flag("--tasks", "total_tasks"), JOBS),
     chart=lambda files: chart(files["figure2.csv"]),
 )

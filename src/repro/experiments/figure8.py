@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from repro.experiments.common import (
     JOBS,
-    SHARDS,
     SIZES,
     Experiment,
     Files,
@@ -27,16 +26,15 @@ from repro.experiments.common import (
     claims_payload,
     scale_preset,
 )
-from repro.experiments.runner import SweepExecutor, default_shards
+from repro.experiments.runner import SweepExecutor
 from repro.metrics.report import format_table
 from repro.params import PAPER_PARAMS, MachineParams
 from repro.workloads.pipeline import PipelineConfig, run_pipeline
 
 
-#: Reduced and paper scale: powers of two, 2..128.  ``shards`` is pinned
-#: so golden runs never depend on ``$REPRO_SHARDS``.
-QUICK = {"sizes": (2, 4, 8, 16), "data_size": 128, "shards": 1}
-FULL = {"sizes": (2, 4, 8, 16, 32, 64, 128), "data_size": 1024, "shards": 1}
+#: Reduced and paper scale: powers of two, 2..128.
+QUICK = {"sizes": (2, 4, 8, 16), "data_size": 128}
+FULL = {"sizes": (2, 4, 8, 16, 32, 64, 128), "data_size": 1024}
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,7 +50,7 @@ class Figure8Row:
 
 
 def _figure8_point(
-    point: tuple[int, int, float, float, int, int, MachineParams, int],
+    point: tuple[int, int, float, float, int, int, MachineParams],
 ) -> Figure8Row:
     """One network size's four series (module-level: picklable)."""
     (
@@ -63,7 +61,6 @@ def _figure8_point(
         item_bytes,
         block_bytes,
         params,
-        shards,
     ) = point
     base = dict(
         n_nodes=n_nodes,
@@ -73,28 +70,13 @@ def _figure8_point(
         item_bytes=item_bytes,
         block_bytes=block_bytes,
     )
-    # Sharding applies to the two GWC-family series; the zero-delay
-    # ideal (no cross-shard lookahead) and entry consistency (not
-    # message-pure) fall back to serial regardless.
     ideal = run_pipeline(
         PipelineConfig(system="gwc", params=params.zero_delay(), **base)
     )
     optimistic = run_pipeline(
-        PipelineConfig(
-            system="gwc_optimistic",
-            params=params,
-            shards=shards,
-            **base,
-        )
+        PipelineConfig(system="gwc_optimistic", params=params, **base)
     )
-    gwc = run_pipeline(
-        PipelineConfig(
-            system="gwc",
-            params=params,
-            shards=shards,
-            **base,
-        )
-    )
+    gwc = run_pipeline(PipelineConfig(system="gwc", params=params, **base))
     entry = run_pipeline(PipelineConfig(system="entry", params=params, **base))
     for result in (ideal, optimistic, gwc, entry):
         if not result.extra["acc_correct"]:
@@ -120,21 +102,16 @@ def run_figure8(
     block_bytes: int = 64,
     params: MachineParams = PAPER_PARAMS,
     jobs: int | None = None,
-    shards: int | None = None,
 ) -> list[Figure8Row]:
     """Sweep network sizes for the four Figure 8 series.
 
     Each network size is an independent simulation point; ``jobs``
     (default: the ``REPRO_JOBS`` env var) fans them across worker
-    processes without changing any result.  ``shards`` (default: the
-    ``REPRO_SHARDS`` env var) runs the GWC-family points under the
-    sharded kernel — results are bit-identical to serial by
-    construction.
+    processes without changing any result.
     """
     scale = scale_preset(QUICK, FULL)
     sizes = sizes if sizes is not None else scale["sizes"]
     data_size = data_size if data_size is not None else scale["data_size"]
-    shards = default_shards() if shards is None else max(1, int(shards))
     executor = SweepExecutor(jobs)
     points = [
         (
@@ -145,7 +122,6 @@ def run_figure8(
             item_bytes,
             block_bytes,
             params,
-            shards,
         )
         for n_nodes in sizes
     ]
@@ -248,6 +224,6 @@ EXPERIMENT = Experiment(
     render=lambda files: render(files["figure8.csv"]),
     expectations=lambda files: expectations(files["figure8.csv"])
     + _paper_scale_bands(files["figure8.csv"]),
-    flags=(SIZES, Flag("--data", "data_size"), SHARDS, JOBS),
+    flags=(SIZES, Flag("--data", "data_size"), JOBS),
     chart=lambda files: chart(files["figure8.csv"]),
 )

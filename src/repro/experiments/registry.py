@@ -4,7 +4,7 @@ The CLI's subcommands and ``repro reproduce``, the golden surfaces and
 the parametrized benchmark all loop over :data:`EXPERIMENTS`; adding an
 experiment is one declaration and one entry here.  Only those consumers
 import this module, so a library user who runs one sweep does not pay
-for loading the fault and sharding stacks.
+for loading the fault stack.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.experiments import (
     replication,
     rootshard,
     sensitivity,
-    shard_smoke,
 )
 from repro.experiments.common import Experiment
 
@@ -38,7 +37,6 @@ EXPERIMENTS: tuple[Experiment, ...] = (
     analytic.EXPERIMENT,
     sensitivity.EXPERIMENT,
     ablation.EXPERIMENT,
-    shard_smoke.EXPERIMENT,
     rootshard.SHARDED_ROOT,
     rootshard.EXPERIMENT,
     chaos.FAILOVER,

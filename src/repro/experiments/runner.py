@@ -31,9 +31,6 @@ from repro.errors import ExperimentError
 
 #: Environment variable selecting the default worker count.
 JOBS_ENV = "REPRO_JOBS"
-#: Environment variable selecting the default shard count for workloads
-#: that support the sharded kernel (see :mod:`repro.sim.shards`).
-SHARDS_ENV = "REPRO_SHARDS"
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -51,20 +48,6 @@ def default_jobs() -> int:
             f"{JOBS_ENV} must be an integer, got {raw!r}"
         ) from None
     return max(1, jobs)
-
-
-def default_shards() -> int:
-    """Shard count from ``REPRO_SHARDS`` (absent/empty -> 1, serial)."""
-    raw = os.environ.get(SHARDS_ENV, "").strip()
-    if not raw:
-        return 1
-    try:
-        shards = int(raw)
-    except ValueError:
-        raise ExperimentError(
-            f"{SHARDS_ENV} must be an integer, got {raw!r}"
-        ) from None
-    return max(1, shards)
 
 
 class SweepExecutor:

@@ -20,9 +20,9 @@
   the ``repro campaign`` CLI: :func:`~repro.faults.campaign.generate_plan`
   draws seeded fault plans from weighted profiles,
   :func:`~repro.faults.campaign.run_campaign` sweeps them across
-  workloads/topologies/shard counts under the online invariant
-  oracles, and :func:`~repro.faults.campaign.minimize_failure` ddmin-
-  shrinks any failing plan to a 1-minimal reproducer bundle.
+  systems and topologies under the online invariant oracles, and
+  :func:`~repro.faults.campaign.minimize_failure` ddmin-shrinks any
+  failing plan to a 1-minimal reproducer bundle.
 
 See ``docs/FAULTS.md`` for the fault model and recovery parameters.
 """

@@ -2,9 +2,8 @@
 
 Where ``repro chaos`` replays a fixed hand-written scenario matrix,
 a *campaign* generates seeded random fault plans from weighted
-profiles, runs N trials across systems x topologies (plus sharded
-task-queue trials at two shard counts), holds every trial to the
-online oracles of :mod:`repro.consistency.oracles`, and — when a
+profiles, runs N trials across systems x topologies, holds every trial
+to the online oracles of :mod:`repro.consistency.oracles`, and — when a
 trial fails — delta-debugs the fault plan down to a 1-minimal failing
 schedule and writes a reproducible repro bundle through the atomic
 :class:`~repro.goldens.writer.RunWriter` protocol.
@@ -16,18 +15,15 @@ Three layers:
    Profiles: ``churn`` (sequential crash/restart pairs), ``splitbrain``
    (bounded partition windows + wire noise), ``rootstorm`` (kill the
    sequencer and a lock holder mid-section), ``wire`` (deterministic
-   FIFO-preserving delay windows — the only profile legal under the
-   sharded kernel's parity requirement), and ``mixed`` (a weighted
-   blend).  Generated plans always pass
+   FIFO-preserving delay windows), and ``mixed`` (a weighted blend).
+   Generated plans always pass
    :meth:`~repro.faults.plan.FaultPlan.validate` for their ``n_nodes``
    and are *survivable by design* under the full recovery stack: plain
    crashes never hit node 0, at most one node is down at a time,
    partitions exclude the root and always carry a bounded ``until``
    window, and holder/root kills fire early enough to land mid-run.
-2. :func:`run_campaign` — the trial runner.  Every chaos trial runs
-   with ``oracles=True``; every sharded trial checks GVT monotonicity
-   (:class:`~repro.consistency.oracles.GvtMonitor`), the cross-shard
-   exclusion verifier, and serial/sharded state-hash parity.
+2. :func:`run_campaign` — the trial runner.  Every trial runs with
+   ``oracles=True``.
 3. :func:`minimize_failure` — classic ddmin over the plan's events,
    then node-count and fault-window shrinking, re-probing after each
    step so the final plan still reproduces the *same* failure signature
@@ -92,18 +88,8 @@ def recovery_unit(
     topology: str = "mesh_torus",
     params: MachineParams = PAPER_PARAMS,
 ) -> float:
-    """The machine's recovery unit (NACK timeout) without building one.
-
-    Mirrors the :class:`~repro.core.machine.DSMMachine` formula: one
-    safely padded diameter crossing.  Campaign plans are scaled in this
-    unit so the same profile stresses any topology equally.
-    """
-    topo = make_topology(topology, n_nodes)
-    return max(
-        4.0 * topo.diameter() * params.hop_latency
-        + 16.0 * params.packet_bytes / params.link_bandwidth,
-        2e-6,
-    )
+    """The machine's recovery unit (NACK timeout) without building one."""
+    return params.nack_timeout(make_topology(topology, n_nodes).diameter())
 
 
 # ----------------------------------------------------------------------
@@ -114,7 +100,7 @@ def recovery_unit(
 def _wire_noise(
     rng: random.Random, unit: float, deterministic: bool
 ) -> list[FaultEvent]:
-    """One bounded delay window; deterministic variant is parity-safe."""
+    """One bounded delay window; ``deterministic`` draws no per-message RNG."""
     start = rng.uniform(2.0, 40.0) * unit
     width = rng.uniform(30.0, 120.0) * unit
     return [
@@ -284,7 +270,7 @@ def generate_plan(
 
 @dataclass(frozen=True, slots=True)
 class CampaignConfig:
-    """One randomized campaign: N seeded trials + sharded trials."""
+    """One randomized campaign: N seeded trials."""
 
     trials: int = 25
     seed: int = 7
@@ -297,8 +283,6 @@ class CampaignConfig:
     topologies: tuple[str, ...] = ("mesh_torus", "ring")
     #: Expected active run span, in recovery units (scales fault times).
     horizon_units: float = 400.0
-    #: Sharded task-queue trials appended after the chaos trials.
-    shard_trials: int = 2
     minimize: bool = True
     probe_budget: int = DEFAULT_PROBE_BUDGET
     #: Where failing trials' repro bundles land (None = don't write).
@@ -348,17 +332,15 @@ class CampaignConfig:
 
 @dataclass(frozen=True, slots=True)
 class CampaignTrial:
-    """One enumerated trial (chaos or sharded)."""
+    """One enumerated trial."""
 
     index: int
-    kind: str  # "chaos" | "shard"
     profile: str
     system: str
     workload: str
     topology: str
     seed: int
-    config: ChaosConfig | None = None
-    shards: int = 0
+    config: ChaosConfig
 
 
 def _campaign_profiles(config: CampaignConfig) -> tuple[str, ...]:
@@ -420,26 +402,12 @@ def campaign_trials(config: CampaignConfig) -> list[CampaignTrial]:
         trials.append(
             CampaignTrial(
                 index=i,
-                kind="chaos",
                 profile=profile,
                 system=system,
                 workload=config.workload,
                 topology=topology,
                 seed=seed,
                 config=chaos_config,
-            )
-        )
-    for j in range(config.shard_trials):
-        trials.append(
-            CampaignTrial(
-                index=config.trials + j,
-                kind="shard",
-                profile="wire",
-                system="gwc",
-                workload="task_queue",
-                topology="mesh_torus",
-                seed=config.seed * 1009 + 9000 + j,
-                shards=2 + 2 * (j % 2),
             )
         )
     return trials
@@ -468,11 +436,6 @@ def failure_signature(result: ChaosResult) -> tuple[str, ...] | None:
 
 def _zero_run_values(trial: CampaignTrial, detail: str) -> dict[str, Any]:
     """Schema-complete values for a trial that errored before finishing."""
-    scenario = (
-        trial.config.scenario
-        if trial.config is not None
-        else f"shard:conservativex{trial.shards}"
-    )
     values: dict[str, Any] = dict.fromkeys(
         (
             "final_counter",
@@ -498,7 +461,7 @@ def _zero_run_values(trial: CampaignTrial, detail: str) -> dict[str, Any]:
     values.update(
         system=trial.system,
         workload=trial.workload,
-        scenario=scenario,
+        scenario=trial.config.scenario,
         seed=trial.seed,
         ok=False,
         converged=False,
@@ -512,93 +475,18 @@ def _zero_run_values(trial: CampaignTrial, detail: str) -> dict[str, Any]:
 def _trial_prefix(
     trial: CampaignTrial, minimized: "Minimization | None"
 ) -> dict[str, Any]:
-    plan_events = (
-        len(trial.config.plan.events)
-        if trial.config is not None and trial.config.plan is not None
-        else 0
-    )
+    plan = trial.config.plan
     return {
         "trial": trial.index,
-        "kind": trial.kind,
+        # One kind of trial; the column is part of the pinned CSV schema.
+        "kind": "chaos",
         "profile": trial.profile,
         "topology": trial.topology,
-        "plan_events": plan_events,
+        "plan_events": len(plan.events) if plan is not None else 0,
         "minimized_events": (
             len(minimized.plan.events) if minimized is not None else ""
         ),
     }
-
-
-def run_shard_trial(
-    config: CampaignConfig, trial: CampaignTrial
-) -> tuple[bool, str, dict[str, Any]]:
-    """One sharded task-queue trial under a deterministic wire plan.
-
-    Oracles: GVT monotonicity every round, the kernel's cross-shard
-    exclusion verifier, and bit-identical state-hash parity vs the
-    serial run of the same configuration.  Returns ``(ok, detail,
-    schema values)``.
-    """
-    from repro.consistency.oracles import GvtMonitor
-    from repro.sim.shards import ShardedSimulator, ShardPlan
-
-    n_nodes = max(3, min(config.n_nodes, 5))
-    total_tasks = 24
-    task_time = tq_wl.TaskQueueConfig.__dataclass_fields__["task_time"].default
-    tq_config = tq_wl.TaskQueueConfig(
-        system="gwc",
-        n_nodes=n_nodes,
-        total_tasks=total_tasks,
-        params=config.params,
-        seed=trial.seed,
-        fault_plan=generate_plan(
-            trial.seed,
-            n_nodes,
-            # Wire-plan horizon: the expected serial makespan.
-            total_tasks * task_time / (n_nodes - 1),
-            "wire",
-        ),
-    )
-    serial = tq_wl.run_task_queue(tq_config)
-    monitor = GvtMonitor()
-    kernel = ShardedSimulator(
-        lambda owned: tq_wl._build_task_queue(tq_config, owned),
-        ShardPlan.from_groups(n_nodes, trial.shards),
-    )
-    kernel.on_gvt = monitor.note
-    detail = ""
-    ok = True
-    try:
-        kernel.run()
-        kernel.verify()
-    except ReproError as exc:
-        ok = False
-        detail = f"{type(exc).__name__}: {exc}"
-    executed = sum(
-        kernel.node(i).locals.get("_executed", 0) for i in range(1, n_nodes)
-    )
-    parity = ok and kernel.state_hash() == serial.extra["state_hash"]
-    if ok and not parity:
-        detail = "state-hash parity violated vs serial run"
-    complete = executed == total_tasks
-    if ok and parity and not complete:
-        detail = f"executed {executed} of {total_tasks} tasks"
-    ok = ok and parity and complete
-    metrics = kernel.merged_metrics() if ok else None
-    values = _zero_run_values(trial, "")
-    values.update(
-        ok=ok,
-        final_counter=executed,
-        converged=parity,
-        stall="" if ok else detail,
-    )
-    if metrics is not None:
-        values.update(
-            lock_requests=metrics.total_counter("lock.requests"),
-            lock_timeouts=metrics.total_counter("lock.timeouts"),
-            lock_retries=metrics.total_counter("lock.retries"),
-        )
-    return ok, detail, values
 
 
 @dataclass(slots=True)
@@ -644,22 +532,6 @@ def run_campaign(
     say = out if out is not None else lambda line: None
     campaign = CampaignResult(config=config)
     for trial in campaign_trials(config):
-        if trial.kind == "shard":
-            ok, detail, values = run_shard_trial(config, trial)
-            outcome = TrialOutcome(
-                trial=trial,
-                ok=ok,
-                signature=None if ok else ("shard", detail.split(":")[0]),
-                detail=detail,
-                row=_chaos_run_row(values, _trial_prefix(trial, None)),
-            )
-            campaign.outcomes.append(outcome)
-            say(
-                f"[campaign] trial {trial.index:<3d} shard "
-                f"x{trial.shards:<11d} {'ok' if ok else 'FAIL'}"
-            )
-            continue
-        assert trial.config is not None
         try:
             result = run_chaos(trial.config)
         except ReproError as exc:
@@ -738,7 +610,6 @@ SMOKE_FIELDS = dict(
     n_nodes=6,
     ops_per_node=6,
     topologies=("mesh_torus",),
-    shard_trials=2,
     minimize=False,
 )
 
@@ -970,7 +841,6 @@ def write_bundle(
 
     directory = pathlib.Path(directory)
     run = RunWriter(directory, BUNDLE_SURFACE)
-    assert trial.config is not None
     config = dataclasses.replace(
         trial.config, n_nodes=minimized.n_nodes, plan=None
     )
@@ -1027,7 +897,6 @@ __all__ = [
     "recovery_unit",
     "replay_bundle",
     "run_campaign",
-    "run_shard_trial",
     "smoke_config",
     "write_bundle",
 ]

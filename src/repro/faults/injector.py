@@ -278,7 +278,7 @@ class FaultInjector:
 
         if group_name not in self.machine.groups:
             raise FaultError(f"crash(root_of=...): no group {group_name!r}")
-        # A sharded family spreads its locks over sibling subgroups;
+        # A root-sharded family spreads its locks over sibling subgroups;
         # target whichever sibling root actually sequences a held lock
         # (a family of one degenerates to the classic single root).
         subgroups = self.machine.families.get(group_name, (group_name,))

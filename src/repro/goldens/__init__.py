@@ -1,6 +1,6 @@
 """Continuous-verify guardrail for run artifacts.
 
-Every figure, chaos, failover, burst, shard, and benchmark run in this
+Every figure, chaos, failover, burst, and benchmark run in this
 repository produces a small set of machine-readable artifacts.  The
 paper's claims live entirely in those artifacts, so refactoring the
 simulator aggressively is only safe if every one of them is

@@ -11,8 +11,8 @@ things threaten that:
   CRLF conversions.  The hash must see structure, not spelling.
 
 JSON artifacts are therefore parsed, scrubbed of their declared volatile
-paths, and hashed through the same type-tagged canonical encoder the
-sharded kernel uses for state parity (:mod:`repro.sim.statehash`).
+paths, and hashed through the same type-tagged canonical encoder that
+hashes machine state (:mod:`repro.sim.statehash`).
 CSV and plain-text artifacts are hashed over newline-normalized UTF-8.
 """
 
@@ -26,11 +26,11 @@ from typing import Any, Sequence
 from repro.errors import ExperimentError
 from repro.sim.statehash import hash_payload
 
-#: Volatile paths for ``BENCH_kernel.json`` (schema 5): everything
+#: Volatile paths for ``BENCH_kernel.json`` (schema 6): everything
 #: measured in wall-clock seconds (or derived from such a measurement)
-#: plus the host fingerprint.  What stays in the hash — the schema, the
-#: burst ablation counts, the sharded workload line and its parity bit
-#: — is the snapshot's portable semantic content.
+#: plus the host fingerprint.  What stays in the hash — the schema and
+#: the burst ablation counts — is the snapshot's portable semantic
+#: content.
 BENCH_VOLATILE: tuple[str, ...] = (
     "python",
     "cpu_count",
@@ -38,9 +38,6 @@ BENCH_VOLATILE: tuple[str, ...] = (
     "kernel",
     "sweeps",
     "baseline",
-    "sharded.serial_wall_s",
-    "sharded.wall_s",
-    "sharded.overhead_vs_serial",
 )
 
 
@@ -55,7 +52,7 @@ def scrub_payload(payload: Any, volatile: Sequence[str] = ()) -> Any:
     """Drop every volatile dotted-path subtree from a parsed payload.
 
     ``volatile`` entries are dotted key paths (``host``, ``sweeps``,
-    ``sharded.serial_wall_s``); a ``*`` segment matches any key.  List
+    ``kernel.events_per_sec``); a ``*`` segment matches any key.  List
     elements are transparent: ``burst_ablation.reduction`` scrubs the
     ``reduction`` key of every row in a ``burst_ablation`` list.  The
     input is never mutated.

@@ -4,9 +4,9 @@ A *surface* is one reproducible artifact set.  All but one are derived
 from the experiment registry: the surface writes what
 ``experiment.run(**experiment.quick)`` returns through a crash-safe
 :class:`RunWriter`.  The presets pin every scale explicitly — never
-environment-dependent defaults (``REPRO_FULL``, ``REPRO_SHARDS``) — so
-two runs on any two hosts produce byte-identical files, and a run whose
-expectations fail is refused rather than snapshotted.
+environment-dependent defaults (``REPRO_FULL``) — so two runs on any
+two hosts produce byte-identical files, and a run whose expectations
+fail is refused rather than snapshotted.
 
 Everything recorded here is simulated-time deterministic.  The one
 wall-clock-contaminated artifact, ``BENCH_kernel.json``, is the one
@@ -37,10 +37,9 @@ def _generate_bench_kernel(run: RunWriter) -> None:
 
     The live snapshot keeps its host fingerprint and wall-clock numbers;
     the golden records only the host-portable fields (schema, burst
-    ablation counts, sharded parity) obtained by
-    applying :data:`BENCH_VOLATILE` — the exact scrub the manifest hash
-    uses, so drift here means a semantic benchmark change, never a
-    slower machine.
+    ablation counts) obtained by applying :data:`BENCH_VOLATILE` — the
+    exact scrub the manifest hash uses, so drift here means a semantic
+    benchmark change, never a slower machine.
     """
     bench_path = REPO_ROOT / "BENCH_kernel.json"
     if not bench_path.is_file():

@@ -29,7 +29,6 @@ from repro.errors import NetworkError
 from repro.net.message import Message, fire_train
 from repro.net.topology import Topology
 from repro.params import MachineParams
-from repro.sim.event import PRIORITY_ARRIVAL_BAND
 from repro.sim.kernel import Simulator
 
 #: Handler signature for delivered messages.
@@ -131,18 +130,6 @@ class Network:
         #: ``None`` on the hot path keeps fault support free for normal
         #: runs: one identity check per send.
         self._injector: "FaultInjector | None" = None  # noqa: F821
-        #: Optional shard router (see :mod:`repro.sim.shards`).  When
-        #: installed, sends addressed to a node this replica does not
-        #: own divert to the router's outbox instead of the local heap,
-        #: and intra-shard arrivals are keyed in the arrival band (see
-        #: :data:`~repro.sim.event.PRIORITY_ARRIVAL_BAND`) so same-time
-        #: arrivals order identically to a serial run.  ``None`` costs
-        #: one identity check per send, exactly like the injector hook.
-        self._router: "ShardRouter | None" = None  # noqa: F821
-        #: Per-source-node send counters, used only under a shard
-        #: router: the third element of each arrival-band ordering
-        #: token.
-        self._node_send_seq: dict[int, int] = {}
 
     def install_injector(self, injector: "FaultInjector") -> None:  # noqa: F821
         """Hook a fault injector into the send and delivery paths.
@@ -156,21 +143,6 @@ class Network:
             raise NetworkError("a fault injector is already installed")
         self._injector = injector
         self._direct.clear()
-
-    def install_shard_router(self, router: "ShardRouter") -> None:  # noqa: F821
-        """Hook a shard router into the send path (one per network).
-
-        Cross-shard sends — ``msg.dst`` outside the router's owned node
-        set — are classified after the full delay model has run (base
-        latency, serialization, loss, faults, FIFO clamping), so a
-        diverted message carries exactly the arrival time the serial
-        kernel would have scheduled it at.  The receiving replica counts
-        the inbound load; the sender only counts outbound, keeping the
-        merged per-node stats identical to a serial run.
-        """
-        if self._router is not None:
-            raise NetworkError("a shard router is already installed")
-        self._router = router
 
     def attach(
         self,
@@ -288,45 +260,6 @@ class Network:
             if previous is not None and arrival < previous:
                 arrival = previous
             last_arrival[key] = arrival
-        router = self._router
-        if router is not None:
-            # Sharded replica: every arrival — intra- or cross-shard —
-            # is keyed in the arrival band by a (send time, src, per-src
-            # send index) token.  The token reproduces the serial
-            # kernel's ordering, where a delivery's sequence number is
-            # allocated at send time, while staying independent of any
-            # replica-local counter — so arrivals from different shards
-            # order consistently at equal times.
-            seq_map = self._node_send_seq
-            idx = seq_map.get(src, 0)
-            seq_map[src] = idx + copies
-            if dst not in router.owned:
-                # Cross-shard: the owning replica delivers (and counts
-                # the inbound load); this replica only recorded the send.
-                router.emit(msg, arrival, copies, (now, src, idx))
-                if sim.trace_enabled:
-                    sim.tracer.record(
-                        now, "net.shard_route", msg=str(msg), arrival=arrival
-                    )
-                return arrival
-            stats.inbound[dst] += copies
-            queue = self._queue
-            heap = queue._heap
-            for offset in range(copies):
-                heappush(
-                    heap,
-                    (
-                        arrival,
-                        PRIORITY_ARRIVAL_BAND,
-                        (now, src, idx + offset),
-                        handler,
-                        msg,
-                    ),
-                )
-            queue._live += copies
-            if sim.trace_enabled:
-                sim.tracer.record(now, "net.send", msg=str(msg), arrival=arrival)
-            return arrival
         stats.inbound[dst] += copies
 
         # Inlined EventQueue.push_call (one entry per delivery copy).
@@ -364,7 +297,6 @@ class Network:
         if (
             self.loss_model is not None
             or self._injector is not None
-            or self._router is not None
             or sim.trace_enabled
         ):
             for dst in targets:
@@ -443,7 +375,6 @@ class Network:
         if (
             self.loss_model is not None
             or self._injector is not None
-            or self._router is not None
             or sim.trace_enabled
         ):
             for payload, size in zip(payloads, sizes):

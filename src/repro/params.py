@@ -126,6 +126,19 @@ class MachineParams:
         """Simulated seconds for one sharing packet to cross ``hops`` hops."""
         return self.wire_time(self.packet_bytes, hops)
 
+    def nack_timeout(self, diameter: int) -> float:
+        """The recovery unit: comfortably above one diameter crossing.
+
+        A machine with reliability armed waits this long before it NACKs
+        a sequence gap; fault campaigns scale their plans in it so one
+        profile stresses any topology equally.
+        """
+        return max(
+            4.0 * diameter * self.hop_latency
+            + 16.0 * self.packet_bytes / self.link_bandwidth,
+            2e-6,
+        )
+
     def zero_delay(self) -> "MachineParams":
         """A copy of these parameters with all network delays removed.
 

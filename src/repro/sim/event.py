@@ -26,12 +26,6 @@ PRIORITY_NORMAL = 0
 PRIORITY_URGENT = -1
 #: Priority for lazy events (fire after normal events at the same time).
 PRIORITY_LAZY = 1
-#: Priority band for message arrivals in a *sharded* replica (see
-#: :mod:`repro.sim.shards`).  Below every local priority, so a routed
-#: arrival fires before any same-time local event; arrivals order among
-#: themselves by a ``(send time, src node, per-src send index)`` token
-#: in the seq slot.  Serial runs never use this band.
-PRIORITY_ARRIVAL_BAND = -(1 << 29)
 
 
 class Event:
@@ -160,27 +154,6 @@ class EventQueue:
         heappush(self._heap, (time, priority, seq, fn, arg))
         self._live += 1
 
-    def push_at_key(
-        self,
-        time: float,
-        priority: int,
-        seq: Any,
-        fn: Callable[[], Any],
-    ) -> None:
-        """Schedule ``fn`` under a caller-supplied ``(time, priority, seq)`` key.
-
-        Used by the sharded kernel to inject cross-shard deliveries:
-        the caller supplies the full key — a dedicated priority band
-        plus a send-order token in the ``seq`` slot (any value totally
-        ordered within its band, unique per key) — so injected events
-        never consume this queue's local counter.  No cancellable
-        handle, as with :meth:`push_fn`.
-        """
-        if time != time:  # NaN guard
-            raise SimulationError("event time is NaN")
-        heappush(self._heap, (time, priority, seq, fn))
-        self._live += 1
-
     def pop(self) -> Event:
         """Remove and return the earliest non-cancelled event.
 
@@ -215,12 +188,3 @@ class EventQueue:
                 continue
             return heap[0][0]
         raise SimulationError("peek on empty event queue")
-
-    def note_cancelled(self) -> None:
-        """Deprecated no-op, kept for API compatibility.
-
-        :meth:`Event.cancel` now maintains the live count itself, so
-        there is no external bookkeeping left to do; calling this extra
-        method can no longer desynchronize ``len()``.
-        """
-        return None

@@ -17,10 +17,6 @@ from repro.sim.rng import RngStreams
 from repro.sim.trace import NullTracer, Tracer
 
 
-#: An event key: ``(time, priority, seq)``, the heap ordering triple.
-EventKey = tuple[float, int, int]
-
-
 def _require_nonnegative_delay(delay: float) -> None:
     """Shared negative-delay guard for every relative-scheduling entry point.
 
@@ -245,73 +241,6 @@ class Simulator:
             queue._live -= popped
             self._running = False
         return self._now
-
-    def run_window(self, limit: EventKey) -> tuple[int, EventKey | None]:
-        """Drain every event whose ``(time, priority, seq)`` key is ``< limit``.
-
-        The shard-aware run facade: a shard's local virtual time (LVT)
-        advances through this method, bounded by the coordinator's
-        current horizon key (GVT plus the lookahead).  The loop is the
-        same manually inlined, closure-free pop/advance cycle as
-        :meth:`run`, extended with a full-key bound.
-
-        Args:
-            limit: Exclusive upper bound key.  Events compare by
-                ``(time, priority, seq)``; an event equal to ``limit``
-                does not fire.
-
-        Returns:
-            ``(fired, last_key)``: how many events fired and the key of
-            the last one (``None`` if nothing fired).
-        """
-        if self._running:
-            raise SimulationError("simulator is already running (re-entrant run)")
-        self._running = True
-        queue = self._queue
-        heap = queue._heap
-        heappop = heapq.heappop
-        event_cls = Event
-        limit_time, limit_priority, limit_seq = limit
-        fired = 0
-        popped = 0
-        last_key: EventKey | None = None
-        try:
-            while heap:
-                entry = heap[0]
-                target = entry[3]
-                is_event = target.__class__ is event_cls
-                if is_event and target.cancelled:
-                    heappop(heap)
-                    continue
-                time = entry[0]
-                if time > limit_time:
-                    break
-                if time == limit_time:
-                    priority = entry[1]
-                    if priority > limit_priority or (
-                        priority == limit_priority and entry[2] >= limit_seq
-                    ):
-                        break
-                heappop(heap)
-                popped += 1
-                if time < self._now:
-                    raise SimulationError(
-                        f"event queue went backwards: {time} < {self._now}"
-                    )
-                self._now = time
-                last_key = (time, entry[1], entry[2])
-                if is_event:
-                    target._queue = None
-                    target.fn()
-                elif len(entry) == 5:
-                    target(entry[4])
-                else:
-                    target()
-                fired += 1
-        finally:
-            queue._live -= popped
-            self._running = False
-        return fired, last_key
 
     def blocked_processes(self) -> list["Process"]:  # noqa: F821
         """Processes that have not finished (killed ones count as done)."""

@@ -1,24 +1,23 @@
 """Canonical state hashing for simulated machines.
 
-The sharded kernel's correctness bar is *bit-identical final state*
-versus the serial kernel, so "state" needs one canonical definition that
-both can produce: every node's store slots (value and write count), the
-root-side lock tables, the per-node metrics time buckets and counters,
-the group sequencer positions, and the final simulated clock.  The hash
-is a SHA-256 over a type-tagged, sorted, length-prefixed encoding, so
-two hashes are equal iff the states are structurally identical — dict
-insertion order, float formatting, and container identity never leak in.
+Two runs are "the same" when their final state is bit-identical, so
+"state" needs one canonical definition: every node's store slots (value
+and write count), the root-side lock tables, the per-node metrics time
+buckets and counters, the group sequencer positions, and the final
+simulated clock.  The hash is a SHA-256 over a type-tagged, sorted,
+length-prefixed encoding, so two hashes are equal iff the states are
+structurally identical — dict insertion order, float formatting, and
+container identity never leak in.
 
-The same encoder backs the sweep-determinism tests: comparing two runs
-by ``state_hash`` subsumes the old ad-hoc dict comparisons and catches
-divergence anywhere in the machine, not just in the few fields a test
-thought to look at.
+The sweep-determinism tests and the layered benchmark compare runs by
+this hash, which catches divergence anywhere in the machine, not just in
+the few fields a test thought to look at.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import SimulationError
 
@@ -31,9 +30,9 @@ def _encode(obj: Any, parts: list[bytes]) -> None:
 
     Supported: None, bool, int, float, str, bytes, and (nested) tuples,
     lists, sets, and dicts of the same.  Anything else raises — state
-    that cannot be canonicalized cannot be compared across kernels, and
+    that cannot be canonicalized cannot be compared across runs, and
     silently hashing ``repr`` (which may embed ``id()``) would turn the
-    parity check into a coin flip.
+    comparison into a coin flip.
     """
     if obj is None:
         parts.append(b"N")
@@ -139,76 +138,35 @@ def _group_state(machine: "DSMMachine", name: str) -> dict[str, Any]:
     }
 
 
-def state_payload(
-    machines: "Sequence[DSMMachine]",
-    owner_of: Sequence[int] | None = None,
-) -> dict[str, Any]:
-    """The canonical state of a machine, possibly sharded across replicas.
-
-    Args:
-        machines: One machine (serial run) or one replica per shard.
-            Replicas must be structurally identical builds of the same
-            machine (same nodes, groups, variables, locks).
-        owner_of: ``node_id -> index into machines`` giving the replica
-            that authoritatively executed each node.  ``None`` (serial)
-            reads everything from ``machines[0]``.
-
-    The payload reads node ``i``'s store and metrics from its owning
-    replica, each group's sequencer and lock tables from the replica
-    owning the group's *root* node, and takes the clock as the max over
-    replicas — the time of the last event executed anywhere, which is
-    exactly the serial kernel's final clock.
-    """
-    if not machines:
-        raise SimulationError("state_payload needs at least one machine")
-    first = machines[0]
-    n_nodes = first.n_nodes
-    if owner_of is None:
-        owner_of = [0] * n_nodes
-    if len(owner_of) != n_nodes:
-        raise SimulationError(
-            f"owner_of has {len(owner_of)} entries for {n_nodes} nodes"
-        )
-    nodes = {
-        node_id: _node_state(machines[owner_of[node_id]], node_id)
-        for node_id in range(n_nodes)
-    }
-    groups = {
-        name: _group_state(machines[owner_of[first.groups[name].root]], name)
-        for name in first.groups
-    }
+def state_payload(machine: "DSMMachine") -> dict[str, Any]:
+    """The canonical final state of a machine after a run."""
     return {
-        "n_nodes": n_nodes,
-        "clock": max(machine.sim.now for machine in machines),
-        "nodes": nodes,
-        "groups": groups,
+        "n_nodes": machine.n_nodes,
+        "clock": machine.sim.now,
+        "nodes": {
+            node_id: _node_state(machine, node_id)
+            for node_id in range(machine.n_nodes)
+        },
+        "groups": {name: _group_state(machine, name) for name in machine.groups},
     }
-
-
-def state_hash(
-    machines: "Sequence[DSMMachine]",
-    owner_of: Sequence[int] | None = None,
-) -> str:
-    """SHA-256 hex digest of :func:`state_payload`."""
-    return hash_payload(state_payload(machines, owner_of))
 
 
 def machine_state_hash(machine: "DSMMachine") -> str:
-    """Canonical state hash of one (serial) machine after a run."""
-    return state_hash([machine])
+    """SHA-256 hex digest of :func:`state_payload`."""
+    return hash_payload(state_payload(machine))
 
 
 def shared_state_payload(machine: "DSMMachine") -> dict[str, Any]:
     """The *semantic* shared-memory outcome of a run.
 
-    :func:`state_payload` is the right bar for kernel parity (same
-    machine, serial or sharded kernel: every counter and sequencer
-    position must match bit-for-bit).  Root sharding changes the
-    machine itself — sequence numbers split across per-partition
-    streams, message counts and clocks legitimately differ — so its
-    parity bar is semantic instead: after quiescence, every member of
-    every group must hold the same final value for every shared
-    variable, and every lock must have returned to FREE.
+    :func:`state_payload` is the right bar for two runs of the same
+    machine (every counter and sequencer position must match
+    bit-for-bit).  Root sharding changes the machine itself — sequence
+    numbers split across per-partition streams, message counts and
+    clocks legitimately differ — so its parity bar is semantic instead:
+    after quiescence, every member of every group must hold the same
+    final value for every shared variable, and every lock must have
+    returned to FREE.
 
     The payload is keyed by *family* (partition siblings collapse), so
     a serial single-root run and a K-root sharded run of the same

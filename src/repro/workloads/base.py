@@ -10,9 +10,9 @@ and returns the measurements.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
-from repro.consistency.base import DsmSystem, make_system, system_is_shardable
+from repro.consistency.base import DsmSystem, make_system
 from repro.consistency.checker import MutualExclusionChecker
 from repro.core.machine import DSMMachine
 from repro.errors import WorkloadError
@@ -89,67 +89,4 @@ def finish(
         extra=extra,
     )
     result.extra["state_hash"] = machine_state_hash(machine)
-    return result
-
-
-def shard_fallback_reason(
-    system: str, shards: int, params: MachineParams
-) -> str | None:
-    """Why a requested sharded run must fall back to serial (or ``None``).
-
-    The sharded kernel (:mod:`repro.sim.shards`) needs more than one
-    shard, a message-pure consistency system, and a strictly positive
-    cross-shard wire latency (the lookahead).  Workload drivers call
-    this before committing to a sharded run so unshardable
-    configurations degrade gracefully instead of raising.
-    """
-    if shards <= 1:
-        return "shards <= 1"
-    if not system_is_shardable(system):
-        return f"system {system!r} is not message-pure"
-    if params.hop_latency <= 0:
-        return "hop_latency <= 0 gives zero cross-shard lookahead"
-    return None
-
-
-def run_sharded(
-    factory: Callable[["frozenset[int] | None"], tuple[DSMMachine, DsmSystem]],
-    n_nodes: int,
-    shards: int,
-    **extra: Any,
-) -> WorkloadResult:
-    """Run a workload under the sharded kernel and package the result.
-
-    ``factory(owned)`` must deterministically build one complete replica
-    (machine + system + groups + processes) spawning only the processes
-    of the nodes in ``owned`` — see :data:`repro.sim.shards.ShardFactory`.
-    The result's metrics and ``state_hash`` are merged views reading
-    each node from its owning replica, directly comparable (bit-for-bit)
-    with a serial :func:`finish` result.
-
-    The kernel itself rides along as ``result.extra["_kernel"]`` so the
-    workload driver can read merged node handles for its own accounting;
-    drivers pop it before returning (it holds live simulator state and
-    must not leak into pickled sweep results).
-    """
-    from repro.sim.shards import ShardedSimulator, ShardPlan
-
-    plan = ShardPlan.from_groups(n_nodes, shards)
-    kernel = ShardedSimulator(factory, plan)
-    kernel.run()
-    kernel.verify()
-    metrics = kernel.merged_metrics()
-    result = WorkloadResult(
-        system=kernel.system_name,
-        n_nodes=n_nodes,
-        elapsed=metrics.elapsed,
-        metrics=metrics,
-        extra=extra,
-    )
-    result.extra.update(
-        shards=plan.n_shards,
-        shard_stats=kernel.stats.summary(),
-        state_hash=kernel.state_hash(),
-    )
-    result.extra["_kernel"] = kernel
     return result

@@ -34,13 +34,7 @@ from repro.core.node import NodeHandle
 from repro.core.section import Section, SectionContext
 from repro.errors import WorkloadError
 from repro.params import PAPER_PARAMS, MachineParams
-from repro.workloads.base import (
-    WorkloadResult,
-    build_machine,
-    finish,
-    run_sharded,
-    shard_fallback_reason,
-)
+from repro.workloads.base import WorkloadResult, build_machine, finish
 
 GROUP = "fig8_group"
 ACC = "shared_block"
@@ -78,13 +72,7 @@ class PipelineConfig:
     topology: str = "mesh_torus"
     #: Optimism threshold override for gwc_optimistic.
     threshold: float | None = None
-    #: Run under the sharded kernel when > 1 (see :mod:`repro.sim.shards`).
-    #: Unshardable configurations fall back to a serial run.
-    shards: int = 1
-    #: Optional fault schedule (see :mod:`repro.faults.plan`), installed
-    #: on every build — serial and each shard replica alike, so chaos
-    #: runs stay shard-parity-comparable when the plan itself is
-    #: deterministic (probability 1.0, no jitter).
+    #: Optional fault schedule (see :mod:`repro.faults.plan`).
     fault_plan: "FaultPlan | None" = None  # noqa: F821
 
     @property
@@ -138,15 +126,8 @@ def _stage(node: NodeHandle, system, config: PipelineConfig):
         yield from node.busy(config.local_time, kind="useful")  # C
 
 
-def _build_pipeline(
-    config: PipelineConfig, owned: "frozenset[int] | None" = None
-):
-    """Build one complete machine for the workload — shard-aware.
-
-    With ``owned=None`` this is the serial build; with an owned node set
-    it is the replica factory for the sharded kernel (spawns only the
-    owned stages, everything else identical and deterministic).
-    """
+def _build_pipeline(config: PipelineConfig):
+    """Build the machine, its group and one stage process per node."""
     system_kwargs = {}
     if config.threshold is not None and config.system == "gwc_optimistic":
         system_kwargs["threshold"] = config.threshold
@@ -158,7 +139,6 @@ def _build_pipeline(
         topology=config.topology,
         **system_kwargs,
     )
-    machine.shard_owned = owned
     if config.fault_plan is not None:
         from repro.faults.injector import FaultInjector
 
@@ -177,9 +157,7 @@ def _build_pipeline(
     machine.declare_lock(GROUP, LOCK, protects=(ACC,), data_bytes=config.block_bytes)
 
     for node in machine.nodes:
-        machine.spawn_for(
-            node.id, _stage(node, system, config), name=f"stage-{node.id}"
-        )
+        machine.spawn(_stage(node, system, config), name=f"stage-{node.id}")
     return machine, system
 
 
@@ -190,32 +168,10 @@ def run_pipeline(config: PipelineConfig) -> WorkloadResult:
             f"data_size {config.data_size} must divide evenly among "
             f"{config.n_nodes} nodes"
         )
-    fallback = None
-    if config.shards > 1:
-        fallback = shard_fallback_reason(
-            config.system, config.shards, config.params
-        )
-        if fallback is None:
-            result = run_sharded(
-                lambda owned: _build_pipeline(config, owned),
-                config.n_nodes,
-                config.shards,
-            )
-            kernel = result.extra.pop("_kernel")
-            nodes = kernel.nodes
-            return _pipeline_extra(config, result, nodes)
     machine, system = _build_pipeline(config)
     result = finish(machine, system)
-    if fallback is not None:
-        result.extra["shard_fallback"] = fallback
-    return _pipeline_extra(config, result, machine.nodes)
-
-
-def _pipeline_extra(
-    config: PipelineConfig, result: WorkloadResult, nodes
-) -> WorkloadResult:
     expected_acc = sum(range(1, config.data_size + 1))
-    final_acc = max(node.store.read(ACC) for node in nodes)
+    final_acc = max(node.store.read(ACC) for node in machine.nodes)
     result.extra.update(
         network_power=result.speedup,
         ideal_power=config.ideal_power(),

@@ -31,15 +31,9 @@ from dataclasses import dataclass
 
 from repro.core.node import NodeHandle
 from repro.core.section import Section, SectionContext
-from repro.errors import ShardingError, WorkloadError
+from repro.errors import WorkloadError
 from repro.params import PAPER_PARAMS, MachineParams
-from repro.workloads.base import (
-    WorkloadResult,
-    build_machine,
-    finish,
-    run_sharded,
-    shard_fallback_reason,
-)
+from repro.workloads.base import WorkloadResult, build_machine, finish
 
 GROUP = "fig2_group"
 PRODUCED = "produced"
@@ -67,21 +61,13 @@ class TaskQueueConfig:
     params: MachineParams = PAPER_PARAMS
     seed: int = 0
     topology: str = "mesh_torus"
-    #: Run under the sharded kernel when > 1 (see :mod:`repro.sim.shards`).
-    #: Unshardable configurations fall back to a serial run.
+    #: Retired inputs: accepted, read by nothing.  The names stay only
+    #: because the frozen ``benchmarks/layered`` ``shard_scale`` workload
+    #: still sets them; they go when a ``benchmark`` issue retargets it.
     shards: int = 1
-    #: Retired inputs, one legal value each (``"conservative"``;
-    #: ``None`` or ``"inproc"``): the sharded kernel has one sync policy
-    #: and one backend.  The names stay only because the frozen
-    #: ``benchmarks/layered`` ``shard_scale`` variants still set them
-    #: and skip a variant only on ``ReproError``;
-    #: :func:`run_task_queue` raises ``ShardingError`` for anything else.
     shard_policy: str = "conservative"
     shard_backend: "str | None" = None
-    #: Optional fault schedule (see :mod:`repro.faults.plan`), installed
-    #: on every build — serial and each shard replica alike, so chaos
-    #: runs stay shard-parity-comparable when the plan itself is
-    #: deterministic (probability 1.0, no jitter).
+    #: Optional fault schedule (see :mod:`repro.faults.plan`).
     fault_plan: "FaultPlan | None" = None  # noqa: F821
 
     @property
@@ -158,16 +144,8 @@ def _consumer(node: NodeHandle, system, config: TaskQueueConfig):
     node.locals["_executed"] = executed
 
 
-def _build_task_queue(
-    config: TaskQueueConfig, owned: "frozenset[int] | None" = None
-):
-    """Build one complete machine for the workload — shard-aware.
-
-    With ``owned=None`` this is the serial build.  With an owned node
-    set it builds the same machine deterministically but only spawns the
-    owned nodes' processes (:meth:`DSMMachine.spawn_for`), making it the
-    replica factory for :class:`~repro.sim.shards.ShardedSimulator`.
-    """
+def _build_task_queue(config: TaskQueueConfig):
+    """Build the machine, its group and the producer/consumer processes."""
     machine, system = build_machine(
         config.system,
         config.n_nodes,
@@ -175,7 +153,6 @@ def _build_task_queue(
         seed=config.seed,
         topology=config.topology,
     )
-    machine.shard_owned = owned
     if config.fault_plan is not None:
         from repro.faults.injector import FaultInjector
 
@@ -190,11 +167,9 @@ def _build_task_queue(
     machine.declare_lock(GROUP, LOCK, protects=(TAKEN, COMPLETED), data_bytes=768)
 
     producer = machine.nodes[0]
-    machine.spawn_for(0, _producer(producer, system, config), name="producer")
+    machine.spawn(_producer(producer, system, config), name="producer")
     for node in machine.nodes[1:]:
-        machine.spawn_for(
-            node.id, _consumer(node, system, config), name=f"consumer-{node.id}"
-        )
+        machine.spawn(_consumer(node, system, config), name=f"consumer-{node.id}")
     return machine, system
 
 
@@ -202,44 +177,9 @@ def run_task_queue(config: TaskQueueConfig) -> WorkloadResult:
     """Run the Figure 2 workload under one consistency system."""
     if config.n_nodes < 2:
         raise WorkloadError("task queue needs a producer and >= 1 consumer")
-    if config.shard_policy != "conservative" or config.shard_backend not in (
-        None,
-        "inproc",
-    ):
-        raise ShardingError(
-            f"shard_policy={config.shard_policy!r} / "
-            f"shard_backend={config.shard_backend!r} were removed: the "
-            "sharded kernel runs in-process under conservative lookahead "
-            "windows only"
-        )
-    fallback = None
-    if config.shards > 1:
-        fallback = shard_fallback_reason(
-            config.system, config.shards, config.params
-        )
-        if fallback is None:
-            result = run_sharded(
-                lambda owned: _build_task_queue(config, owned),
-                config.n_nodes,
-                config.shards,
-            )
-            kernel = result.extra.pop("_kernel")
-            executed = sum(
-                kernel.node(i).locals.get("_executed", 0)
-                for i in range(1, config.n_nodes)
-            )
-            return _task_queue_extra(config, result, executed=executed)
     machine, system = _build_task_queue(config)
     result = finish(machine, system)
-    if fallback is not None:
-        result.extra["shard_fallback"] = fallback
     executed = sum(node.locals.get("_executed", 0) for node in machine.nodes[1:])
-    return _task_queue_extra(config, result, executed=executed)
-
-
-def _task_queue_extra(
-    config: TaskQueueConfig, result: WorkloadResult, executed: int
-) -> WorkloadResult:
     result.extra.update(
         total_tasks=config.total_tasks,
         executed=executed,

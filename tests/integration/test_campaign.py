@@ -39,23 +39,12 @@ class TestCampaignGreenPath:
         first = run_campaign(smoke_config())
         again = run_campaign(smoke_config())
         assert first.ok
-        assert len(first.outcomes) == 8  # 6 chaos + 2 shard trials
+        assert len(first.outcomes) == 6
         assert first.rows() == again.rows()
         # Every row carries the shared schema plus the trial prefix.
         for row in first.rows():
             assert row["ok"]
             assert list(row)[:4] == ["trial", "kind", "profile", "topology"]
-
-    def test_shard_trials_check_parity_x2_and_x4(self):
-        campaign = run_campaign(smoke_config())
-        shard_rows = [r for r in campaign.rows() if r["kind"] == "shard"]
-        assert {r["scenario"] for r in shard_rows} == {
-            "shard:conservativex2",
-            "shard:conservativex4",
-        }
-        for row in shard_rows:
-            assert row["converged"]  # state-hash parity vs the serial run
-            assert row["final_counter"] == 24  # every task executed
 
     @pytest.mark.slow
     def test_default_campaign_is_green_and_deterministic(self):
@@ -106,7 +95,6 @@ class TestBrokenLeaseAcceptance:
             profile="wire",
             systems=("gwc",),
             topologies=("mesh_torus",),
-            shard_trials=0,
             broken_lease=True,
             lease_units=1.0,
             section_time_s=10e-6,
@@ -206,7 +194,7 @@ class TestCampaignCli:
         csv_path = tmp_path / "campaign.csv"
         assert cli.main(["campaign", "--smoke", "--csv", str(csv_path)]) == 0
         out = capsys.readouterr().out
-        assert "campaign: 8/8 trial(s) ok" in out
+        assert "campaign: 6/6 trial(s) ok" in out
         header = csv_path.read_text().splitlines()[0]
         assert header.startswith("trial,kind,profile,topology")
 

@@ -5,7 +5,7 @@ Covers the acceptance bar of the goldens work:
 * ``update-goldens`` -> ``verify-goldens`` round-trips clean (exit 0);
 * a single-byte mutation in a golden-covered artifact fails the gate
   (exit 1) with a per-file and per-field diff report;
-* chaos / failover / shard-smoke artifact generation is byte-identical
+* chaos / failover artifact generation is byte-identical
   across two back-to-back runs per seed;
 * SIGKILL mid-run leaves either a complete manifested artifact set or
   nothing detectable as valid — and the next run cleans the partials;
@@ -126,7 +126,7 @@ class TestRoundTrip:
 class TestDeterminism:
     """Back-to-back runs per seed must produce byte-identical artifacts."""
 
-    @pytest.mark.parametrize("name", ["chaos", "failover", "shard_smoke"])
+    @pytest.mark.parametrize("name", ["chaos", "failover"])
     def test_surface_byte_identical_across_runs(self, tmp_path, name):
         surface = SURFACES_BY_NAME[name]
         first = RunWriter(tmp_path / "one", name)
@@ -155,7 +155,6 @@ class TestDeterminism:
             "burst",
             "chaos",
             "failover",
-            "shard_smoke",
             "bench_kernel",
         ):
             assert expected in names

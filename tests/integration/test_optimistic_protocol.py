@@ -159,6 +159,55 @@ class TestConflictAndRollback:
         machine.run()
         assert all(n.store.read("v") == 101 for n in machine.nodes)
 
+    def test_rollback_restores_shared_and_local_values_for_the_rerun(self):
+        """Figure 4 lines (22)-(24).  The holder that wins the race
+        writes nothing, so no sequenced apply ever repairs the
+        speculator's copy: only the restore can hand the re-executed
+        body the pre-section values of ``v`` and of its local."""
+        machine, system = build(n=4)
+        speculator = machine.nodes[3]
+        speculator.locals["_c"] = 1
+        seen = []
+
+        def body_speculating(ctx):
+            seen.append((ctx.read("v"), ctx.local("_c")))
+            ctx.write("v", 100)
+            ctx.set_local("_c", 5)
+            # The conflicting grant lands during this compute, after
+            # both speculative writes.
+            yield from ctx.compute(8e-6)
+
+        def body_holder(ctx):
+            yield from ctx.compute(0.2e-6)
+
+        speculating = Section(
+            lock="L",
+            body=body_speculating,
+            shared_reads=("v",),
+            shared_writes=("v",),
+            local_vars=("_c",),
+        )
+        holding = Section(lock="L", body=body_holder)
+
+        def speculating_worker(node):
+            yield 0.0
+            outcome = yield from system.run_section(node, speculating)
+            assert outcome.rolled_back
+
+        def holding_worker(node):
+            yield from system.run_section(node, holding)
+
+        # Node 1 is adjacent to the root and wins; node 3 is two hops
+        # away, speculates, conflicts and re-runs under the lock.
+        machine.spawn(holding_worker(machine.nodes[1]), name="holder")
+        machine.spawn(speculating_worker(speculator), name="speculator")
+        machine.run()
+        assert machine.metrics.total_counter("opt.rollbacks") == 1
+        assert machine.root_engine("g").discarded == 1
+        assert seen == [(0, 1), (0, 1)]
+        assert speculator.locals["_c"] == 5
+        assert all(n.store.read("v") == 100 for n in machine.nodes)
+
     def test_wasted_time_recorded_for_rollbacks(self):
         machine, system = build(n=4)
         section = increment_section(compute=4e-6)

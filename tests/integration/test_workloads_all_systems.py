@@ -79,6 +79,17 @@ class TestTaskQueue:
         with pytest.raises(WorkloadError):
             run_task_queue(TaskQueueConfig(system="gwc", n_nodes=1))
 
+    def test_retired_shard_inputs_are_accepted_and_inert(self):
+        """The frozen layered benchmark still sets them (``shard_scale``)."""
+        base = dict(system="gwc", n_nodes=5, total_tasks=16)
+        plain = run_task_queue(TaskQueueConfig(**base))
+        retired = run_task_queue(
+            TaskQueueConfig(
+                shards=2, shard_policy="timewarp", shard_backend="process", **base
+            )
+        )
+        assert retired.extra == plain.extra  # state_hash included
+
 
 class TestPipeline:
     @pytest.mark.parametrize(

@@ -37,7 +37,6 @@ class TestEventQueueProperties:
         )
         for idx in to_cancel:
             events[idx].cancel()
-            queue.note_cancelled()
         surviving = []
         while queue:
             surviving.append(queue.pop().seq)

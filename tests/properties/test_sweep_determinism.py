@@ -20,10 +20,8 @@ from repro.experiments.figure2 import run_figure2
 from repro.experiments.figure8 import run_figure8
 from repro.experiments.runner import (
     JOBS_ENV,
-    SHARDS_ENV,
     SweepExecutor,
     default_jobs,
-    default_shards,
 )
 from repro.workloads.task_queue import TaskQueueConfig, run_task_queue
 
@@ -111,18 +109,3 @@ class TestExecutorConfig:
     def test_within_cpu_budget_is_silent(self, capsys):
         assert SweepExecutor(jobs=1).jobs == 1
         assert capsys.readouterr().err == ""
-
-
-class TestShardsConfig:
-    def test_env_var_sets_default(self, monkeypatch):
-        monkeypatch.setenv(SHARDS_ENV, "4")
-        assert default_shards() == 4
-
-    def test_env_var_absent_means_serial(self, monkeypatch):
-        monkeypatch.delenv(SHARDS_ENV, raising=False)
-        assert default_shards() == 1
-
-    def test_env_var_invalid_rejected(self, monkeypatch):
-        monkeypatch.setenv(SHARDS_ENV, "many")
-        with pytest.raises(ExperimentError, match="REPRO_SHARDS"):
-            default_shards()

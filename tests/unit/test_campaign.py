@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.errors import ExperimentError, FaultError, InvariantViolationError
+from repro.errors import ExperimentError, FaultError
 from repro.faults.campaign import (
     CRASH_FREE_PROFILES,
     PROFILES,
@@ -111,13 +111,9 @@ class TestCampaignTrials:
         config = CampaignConfig(trials=8)
         first = campaign_trials(config)
         again = campaign_trials(config)
-        assert len(first) == 8 + config.shard_trials
+        assert len(first) == 8
         assert [t.seed for t in first] == [t.seed for t in again]
-        assert {t.topology for t in first if t.kind == "chaos"} == {
-            "mesh_torus",
-            "ring",
-        }
-        assert [t.kind for t in first[-2:]] == ["shard", "shard"]
+        assert {t.topology for t in first} == {"mesh_torus", "ring"}
 
     def test_rejects_non_gwc_systems(self):
         with pytest.raises(FaultError, match="recovery stack"):
@@ -134,19 +130,15 @@ class TestCampaignTrials:
                 CampaignConfig(workload="task_queue", profile="churn")
             )
 
-    def test_smoke_config_spans_structural_profiles_and_shards(self):
+    def test_smoke_config_spans_structural_profiles(self):
         trials = campaign_trials(smoke_config())
-        chaos = [t for t in trials if t.kind == "chaos"]
         # Six trials over the profile x system rotation cover the three
-        # structural profiles on both systems; the shard trials add the
-        # wire profile at two shard counts.
-        assert {t.profile for t in chaos} == {
+        # structural profiles on both systems.
+        assert {t.profile for t in trials} == {
             "churn",
             "splitbrain",
             "rootstorm",
         }
-        shard = [t for t in trials if t.kind == "shard"]
-        assert {t.shards for t in shard} == {2, 4}
 
 
 class TestDdmin:
@@ -214,23 +206,3 @@ class TestChaosRunRow:
     def test_prefix_collision_is_a_hard_error(self):
         with pytest.raises(ExperimentError, match="seed"):
             chaos_run_row(self._values(), prefix={"seed": 9})
-
-
-class TestGvtMonitor:
-    def test_monotone_samples_pass(self):
-        from repro.consistency.oracles import GvtMonitor
-
-        monitor = GvtMonitor()
-        for gvt in (0.0, 0.5, 0.5, 1.25):
-            monitor.note(gvt)
-        assert monitor.samples == 4
-
-    def test_regression_raises_with_evidence(self):
-        from repro.consistency.oracles import GvtMonitor
-
-        monitor = GvtMonitor()
-        monitor.note(2.0)
-        with pytest.raises(InvariantViolationError, match="backwards") as info:
-            monitor.note(1.0)
-        assert info.value.oracle == "gvt_monotonic"
-        assert any("gvt=2" in line for line in info.value.evidence)

@@ -48,7 +48,7 @@ def _spy_on(monkeypatch, name):
 
 @pytest.fixture
 def no_repro_env(monkeypatch):
-    for key in ("REPRO_FULL", "REPRO_JOBS", "REPRO_SHARDS"):
+    for key in ("REPRO_FULL", "REPRO_JOBS"):
         monkeypatch.delenv(key, raising=False)
 
 
@@ -81,13 +81,6 @@ class TestFlagOverrides:
             cli.main(["figure2", "--tasks", "32", "--jobs", "2"])
         expected = dict(BY_NAME["figure2"].quick, total_tasks=32, jobs=2)
         assert calls == [expected]
-
-    def test_repro_shards_reaches_the_pinned_preset(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARDS", "2")
-        calls = _spy_on(monkeypatch, "figure8")
-        with pytest.raises(_Ran):
-            cli.main(["figure8"])
-        assert calls[0]["shards"] == 2
 
     def test_switch_and_zero_valued_flags(self, monkeypatch, no_repro_env):
         calls = _spy_on(monkeypatch, "rootshard")
@@ -142,7 +135,8 @@ class TestExitCodes:
         assert "[FAIL] forced false" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "command", ["shard-smoke", "sharded-root-smoke", "ablations"]
+        "command",
+        ["shard-smoke", "sharded-root-smoke", "ablations", "shard_smoke"],
     )
     def test_replaced_subcommands_are_usage_errors(self, command, capsys):
         with pytest.raises(SystemExit) as exit_info:

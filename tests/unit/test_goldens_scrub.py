@@ -51,7 +51,7 @@ class TestScrubPayload:
 class TestBenchVolatile:
     def test_keeps_semantic_fields_drops_host_and_timings(self):
         snapshot = {
-            "schema": 5,
+            "schema": 6,
             "python": "3.11.7",
             "cpu_count": 8,
             "host": {"cpu_model": "x", "platform": "y"},
@@ -59,19 +59,11 @@ class TestBenchVolatile:
             "sweeps": {"figure8_quick_s": 0.5},
             "baseline": {"speedup_serial": 2.0},
             "burst_ablation": [{"burst": 1, "origin_messages": 512}],
-            "sharded": {
-                "workload": "figure2 task queue",
-                "serial_wall_s": 0.1,
-                "wall_s": 0.4,
-                "overhead_vs_serial": 4.0,
-                "parity": True,
-            },
         }
         scrubbed = scrub_payload(snapshot, BENCH_VOLATILE)
         assert scrubbed == {
-            "schema": 5,
+            "schema": 6,
             "burst_ablation": [{"burst": 1, "origin_messages": 512}],
-            "sharded": {"workload": "figure2 task queue", "parity": True},
         }
 
 

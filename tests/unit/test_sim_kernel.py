@@ -50,7 +50,6 @@ class TestEventQueue:
         event = queue.push(1.0, lambda: fired.append("cancelled"))
         queue.push(2.0, lambda: fired.append("kept"))
         event.cancel()
-        queue.note_cancelled()
         assert len(queue) == 1
         while queue:
             queue.pop().fn()

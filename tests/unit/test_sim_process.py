@@ -194,6 +194,26 @@ class TestSignalWaiting:
         sim.run()
         assert got == [1, 2, 3]
 
+    def test_wake_resumes_before_events_scheduled_after_the_fire(self):
+        """A woken process is an ordinary same-instant event: it runs
+        before anything scheduled at that instant after the fire."""
+        sim = Simulator()
+        signal = Signal()
+        order: list[str] = []
+
+        def waiter():
+            yield signal
+            order.append("resumed")
+
+        def fire():
+            signal.fire()
+            sim.schedule_fn(0.0, lambda: order.append("scheduled after the fire"))
+
+        sim.spawn(waiter(), name="waiter")
+        sim.schedule_fn(1.0, fire)
+        sim.run()
+        assert order == ["resumed", "scheduled after the fire"]
+
     def test_remove_callback(self):
         signal = Signal()
         seen: list[object] = []

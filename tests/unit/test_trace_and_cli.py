@@ -144,7 +144,9 @@ class TestCli:
         with pytest.raises(SystemExit):
             main([])
 
-    @pytest.mark.parametrize("flag", ["--shard-policy", "--shard-backend"])
+    @pytest.mark.parametrize(
+        "flag", ["--shard-policy", "--shard-backend", "--shards"]
+    )
     def test_removed_shard_flags_are_usage_errors(self, flag, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["figure2", flag, "x"])

@@ -184,6 +184,42 @@ class TestRootBurstHandling:
         assert origin_messages(0) < origin_messages(3) < origin_messages(1)
 
 
+class TestSiblingFlushOrder:
+    def test_lock_write_flushes_sibling_partitions_in_ascending_order(
+        self, monkeypatch
+    ):
+        """A lock write publishes a section: every other partition's
+        buffered writes leave first, lowest partition first, then the
+        lock's own partition carries the lock value."""
+        from repro.memory.varspace import request_value
+
+        params = dataclasses.replace(PAPER_PARAMS, write_burst=0)
+        machine = DSMMachine(n_nodes=4, topology="mesh_torus", params=params)
+        machine.create_group("g", roots=(0, 1, 2))  # partition k -> root k
+        machine.declare_lock("g", "lk")
+        pmap = machine.partition_map("g")
+        var_on: dict[int, str] = {}
+        for i in range(16):
+            machine.declare_variable("g", f"x{i}", initial=0)
+            var_on.setdefault(pmap.partition_of(f"x{i}"), f"x{i}")
+        lock_home = pmap.partition_of("lk")
+        siblings = [p for p in range(3) if p != lock_home]
+        sent: list[int] = []
+        send = machine.network.send
+        monkeypatch.setattr(
+            machine.network, "send", lambda msg: (sent.append(msg.dst), send(msg))[1]
+        )
+        iface = machine.nodes[3].iface
+        for partition in reversed(siblings):  # buffer order must not matter
+            iface.share_write(var_on[partition], 7)
+        assert sent == []
+        iface.share_write("lk", request_value(3))
+        assert sent == [*siblings, lock_home]
+        machine.run()
+        for partition in siblings:
+            assert machine.nodes[0].store.read(var_on[partition]) == 7
+
+
 class TestParamsValidation:
     def test_negative_write_burst_rejected(self):
         from repro.errors import ExperimentError

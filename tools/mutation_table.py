@@ -1,0 +1,218 @@
+#!/usr/bin/env python3
+"""Mutation table: which test tier catches which seeded ordering bug.
+
+Copies the tree to a temp dir and, for each mutant, applies one exact
+string replacement (the anchor must match exactly once, so a rotted
+mutant aborts the run instead of passing silently), runs three tiers
+with every ``REPRO_*`` variable scrubbed, and restores the file:
+
+  G  ``repro verify-goldens --only`` every run-derived golden surface
+  M  ``repro reproduce chaos failover campaign sharded_root``
+  U  ``pytest tests`` minus the file that re-runs G
+
+One row per mutant: ``caught`` / ``passed`` per tier.  Exit 1 if a mutant
+survives every tier.  About 35 s per mutant, so this is a measuring stick
+to run by hand (``make mutation-table``), not part of tier-1 or CI.
+DESIGN.md section 6 records the run that retired the sharded kernel.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+from typing import NamedTuple
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+#: A mutant that hangs a tier counts as caught by it.
+TIER_TIMEOUT_S = 600
+GOLDEN_RERUN_TESTS = ("tests/integration/test_goldens_verify.py",)
+SMOKE_EXPERIMENTS = ("chaos", "failover", "campaign", "sharded_root")
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to src/repro
+    old: str  # exact anchor, must match once
+    new: str
+
+
+HIDDEN_ROOT_READ = """\
+        local_now = store.read(lock)
+        machine = self.system.machine
+        engine = machine.root_engine(machine.group_of_lock(lock).name)
+        root_holder = engine.manager(lock).holder
+        if root_holder is not None and root_holder != node.id:
+            local_now = grant_value(root_holder)
+"""
+
+_KEEP = "            last_arrival = self._last_arrival\n"
+_CLAMP = (
+    "            previous = last_arrival.get(key)\n"
+    "            if previous is not None and arrival < previous:\n"
+    "                arrival = previous\n"
+)
+_SEND = "heappush(queue._heap, (arrival, %d, seq, handler, msg))"
+_RESUME = (
+    "if value is None:\n            self._push(self.sim._now, self._resume_none%s)"
+)
+
+MUTANTS: list[Mutant] = [
+    Mutant("fifo_clamp_dropped", "net/network.py", _KEEP + _CLAMP, _KEEP),
+    Mutant("lifo_ties_push_fn", "sim/event.py",
+           "(time, priority, seq, fn))", "(time, priority, -seq, fn))"),
+    Mutant("lifo_lock_queue", "locks/gwc_lock.py",
+           "self.queue.pop(0))\n            return [",
+           "self.queue.pop())\n            return ["),
+    Mutant("fanout_targets_reversed", "net/network.py",
+           "seq = queue._next_seq\n        for dst in targets:",
+           "seq = queue._next_seq\n        for dst in reversed(targets):"),
+    Mutant("member_epoch_fence_skipped", "memory/interface.py",
+           "if packet.epoch < current_epoch:", "if False:"),
+    Mutant("root_epoch_fence_skipped", "consistency/gwc.py",
+           "if request.epoch != self.epoch:\n            # Issued into",
+           "if False:\n            # Issued into"),
+    Mutant("burst_flush_tail_first", "memory/interface.py",
+           "writes.append(tail)", "writes.insert(0, tail)"),
+    Mutant("burst_writes_reversed", "consistency/gwc.py",
+           "in request.writes:", "in reversed(request.writes):"),
+    Mutant("root_keeps_nonholder_writes", "consistency/gwc.py",
+           "if not manager.holds(origin):", "if False:"),
+    Mutant("echo_filter_never_drops", "memory/interface.py",
+           "            flt.enabled\n", "            False\n"),
+    Mutant("apply_accepts_future_seq", "memory/interface.py",
+           "and packet.seq == expected", "and packet.seq >= expected"),
+    Mutant("arrivals_after_local_events", "net/network.py", _SEND % 0, _SEND % 1),
+    Mutant("suspended_queue_lifo", "memory/interface.py",
+           "self._suspended_queue.pop(0)", "self._suspended_queue.pop()"),
+    Mutant("signal_fire_reversed", "sim/waiters.py",
+           "for callback in waiters:", "for callback in reversed(waiters):"),
+    Mutant("sibling_flush_reversed", "memory/interface.py",
+           "for sibling in siblings:", "for sibling in reversed(siblings):"),
+    Mutant("rollback_restore_skipped", "locks/optimistic.py",
+           "        restore_from_rollback(node, section, saved)\n", "        pass\n"),
+    Mutant("resume_at_lazy_priority", "sim/process.py", _RESUME % "", _RESUME % ", 1"),
+    Mutant("hidden_root_lock_read", "locks/optimistic.py",
+           "        local_now = store.read(lock)\n", HIDDEN_ROOT_READ),
+]
+
+
+def tiers(tree: pathlib.Path) -> dict[str, list[str]]:
+    """Tier letter -> command, run with ``tree`` as working directory."""
+    surfaces = sorted(
+        path.name
+        for path in (tree / "goldens").iterdir()
+        if path.is_dir() and path.name != "bench_kernel"
+    )
+    repro = [sys.executable, "-m", "repro"]
+    return {
+        "G": [*repro, "verify-goldens", "--only", ",".join(surfaces)],
+        "M": [*repro, "reproduce", *SMOKE_EXPERIMENTS],
+        "U": [
+            sys.executable, "-m", "pytest", "tests", "-x", "-q",
+            "-p", "no:cacheprovider", "--hypothesis-seed=0",
+            *(f"--ignore={path}" for path in GOLDEN_RERUN_TESTS),
+        ],
+    }
+
+
+def mutate(tree: pathlib.Path, mutant: Mutant) -> tuple[pathlib.Path, str, str]:
+    """The mutant's (file in ``tree``, original text, mutated text)."""
+    target = tree / "src" / "repro" / mutant.path
+    text = target.read_text()
+    matches = text.count(mutant.old)
+    if matches != 1:
+        sys.exit(
+            f"mutation-table: anchor of {mutant.name!r} matches {matches} "
+            f"time(s) in {mutant.path}, want exactly 1 -- the mutant has "
+            "rotted; fix its anchor"
+        )
+    return target, text, text.replace(mutant.old, mutant.new)
+
+
+def tier_catches(
+    command: list[str], tree: pathlib.Path, env: dict[str, str],
+    log: pathlib.Path | None,
+) -> bool:
+    try:
+        done = subprocess.run(
+            command, cwd=tree, env=env, timeout=TIER_TIMEOUT_S, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        )
+        output, caught = done.stdout, done.returncode != 0
+    except subprocess.TimeoutExpired as exc:
+        output, caught = f"{exc.stdout or ''}\nTIMEOUT {exc}", True
+    if log is not None:
+        log.write_text(output)
+    return caught
+
+
+def run_table(mutants: list[Mutant], logs: pathlib.Path | None = None) -> int:
+    """Print one row per mutant; 1 if one survived every tier, else 0."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    if logs is not None:
+        logs.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix="mutation-table-") as tmp:
+        tree = pathlib.Path(tmp) / "tree"
+        shutil.copytree(
+            REPO_ROOT, tree,
+            ignore=shutil.ignore_patterns(
+                ".git", "__pycache__", ".hypothesis", ".pytest_cache",
+                ".benchmarks",
+            ),
+        )
+        env["PYTHONPATH"] = str(tree / "src")
+        commands = tiers(tree)
+        for mutant in mutants:  # every anchor is checked before any run
+            mutate(tree, mutant)
+        print(f"{'mutant':<30}" + "".join(f"{t:<8}" for t in commands) + "verdict")
+        survivors = 0
+        for mutant in mutants:
+            target, original, mutated = mutate(tree, mutant)
+            target.write_text(mutated)
+            try:
+                caught = {
+                    tier: tier_catches(
+                        command, tree, env,
+                        logs / f"{mutant.name}.{tier}.log" if logs else None,
+                    )
+                    for tier, command in commands.items()
+                }
+            finally:
+                target.write_text(original)
+            killed = any(caught.values())
+            survivors += not killed
+            cells = "".join(
+                f"{'caught' if hit else 'passed':<8}" for hit in caught.values()
+            )
+            verdict = "killed" if killed else "SURVIVED"
+            print(f"{mutant.name:<30}{cells}{verdict}", flush=True)
+    if survivors:
+        print(f"mutation-table: {survivors} mutant(s) survived every tier")
+    return 1 if survivors else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--only", default="", metavar="A,B", help="comma-separated mutant names"
+    )
+    parser.add_argument(
+        "--logs", default="", metavar="DIR", help="keep each tier's output here"
+    )
+    args = parser.parse_args(argv)
+    names = [name for name in args.only.split(",") if name]
+    unknown = sorted(set(names) - {mutant.name for mutant in MUTANTS})
+    if unknown:
+        parser.error(f"unknown mutant(s): {', '.join(unknown)}")
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    return run_table(chosen, pathlib.Path(args.logs) if args.logs else None)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
