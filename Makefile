@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test smoke goldens verify-goldens bench bench-full bench-json perf-smoke bench-selftest mutation-table profile examples figures all clean
+.PHONY: install test smoke goldens verify-goldens bench bench-full bench-json perf-smoke bench-selftest bench-pairs mutation-table profile examples figures all clean
 
 install:
 	$(PY) setup.py develop
@@ -50,6 +50,14 @@ perf-smoke:
 # so a change that breaks the ruler fails here first.
 bench-selftest:
 	PYTHONPATH=src $(PY) -m pytest benchmarks/layered/test_layered.py
+
+# Alternating parent/change pairs of the BENCHMARK.json contract command
+# on one workload: per-metric medians, quartiles and pairs won.  Minutes,
+# so a developer tool, not CI (docs/REPRODUCING.md section 6).
+#   make bench-pairs BASE=<rev> WORKLOAD=<name> [PAIRS=10]
+PAIRS ?= 10
+bench-pairs:
+	$(PY) tools/bench_pairs.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS)
 
 # Which test tier (goldens, smoke, unit) catches which seeded ordering
 # bug: one row per mutant, exit 1 if one survives every tier.  About

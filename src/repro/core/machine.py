@@ -127,11 +127,14 @@ class DSMMachine:
             if params.interface_service_time <= 0.0:
                 # Immediate dispatch is stateless per message, so the
                 # network may resolve (dst, kind) -> final callable once
-                # and skip the dispatcher frame on every delivery.
+                # and skip the dispatcher frame on every delivery — and
+                # hand a multicast apply to a whole cohort of interfaces
+                # at once (the "gwc" prefix is registered below).
                 self.network.attach(
                     node_id,
                     dispatcher,
                     resolver=partial(self._resolve_kind, node_id),
+                    batch=iface.batch_delivery_for,
                 )
             else:
                 self.network.attach(node_id, dispatcher)

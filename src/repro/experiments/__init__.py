@@ -13,22 +13,31 @@ default; set the environment variable ``REPRO_FULL=1`` to run the
 paper-scale sweeps (1024 tasks, up to 129 processors).
 """
 
-from repro.experiments.burst import BurstRow, run_burst_sweep
-from repro.experiments.common import SCALE_FULL, SCALE_QUICK, sweep_scale
-from repro.experiments.figure1 import Figure1Row, run_figure1
-from repro.experiments.figure2 import Figure2Row, run_figure2
-from repro.experiments.figure8 import Figure8Row, run_figure8
+from importlib import import_module
 
-__all__ = [
-    "BurstRow",
-    "Figure1Row",
-    "Figure2Row",
-    "Figure8Row",
-    "SCALE_FULL",
-    "SCALE_QUICK",
-    "run_burst_sweep",
-    "run_figure1",
-    "run_figure2",
-    "run_figure8",
-    "sweep_scale",
-]
+#: Public name -> defining submodule, resolved on first access (PEP 562),
+#: so ``import repro.experiments.figure2`` compiles Figure 2 only.
+_EXPORTS = {
+    "BurstRow": "burst",
+    "Figure1Row": "figure1",
+    "Figure2Row": "figure2",
+    "Figure8Row": "figure8",
+    "SCALE_FULL": "common",
+    "SCALE_QUICK": "common",
+    "run_burst_sweep": "burst",
+    "run_figure1": "figure1",
+    "run_figure2": "figure2",
+    "run_figure8": "figure8",
+    "sweep_scale": "common",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    submodule = _EXPORTS.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{submodule}"), name)
+    globals()[name] = value
+    return value

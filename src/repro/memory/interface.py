@@ -22,6 +22,7 @@ insharing" hold by construction.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -186,7 +187,7 @@ class NodeInterface:
         #: Highest sequencer epoch adopted per group (root failover).
         self._epoch: dict[str, int] = {}
         self._suspended = False
-        self._suspended_queue: list[ApplyPacket] = []
+        self._suspended_queue: deque[ApplyPacket] = deque()
         self._interrupts: dict[str, LockInterruptHandler] = {}
         #: When set, the reliable-multicast recovery is active: sequence
         #: gaps older than this many seconds trigger a NACK to the root,
@@ -495,8 +496,7 @@ class NodeInterface:
         """
         self._suspended = False
         while self._suspended_queue and not self._suspended:
-            packet = self._suspended_queue.pop(0)
-            self._process(packet)
+            self._process(self._suspended_queue.popleft())
 
     def arm_lock_interrupt(self, lock: str, handler: LockInterruptHandler) -> None:
         """Enable Figure 5's interrupt-and-sharing-suspension on a lock."""
@@ -516,40 +516,28 @@ class NodeInterface:
         """The leanest delivery callable for one message kind.
 
         Apply packets dominate GWC traffic (every sequenced write fans
-        out to the whole group), so they get a dedicated single-frame
-        entry point; everything else dispatches through
-        :meth:`on_message`.
+        out to the whole group), so they get a dedicated entry point;
+        everything else dispatches through :meth:`on_message`.
         """
         if kind == "gwc.apply":
             return self._on_apply
         return self.on_message
 
-    def _on_apply(self, msg: Message) -> None:
-        """Short-circuit delivery for one ``gwc.apply`` message.
+    def batch_delivery_for(
+        self, kind: str
+    ) -> "tuple[Callable[[tuple], None], NodeInterface] | None":
+        """The batch entry point for one message kind, if it has one.
 
-        Semantically identical to ``on_message -> _receive`` but with
-        the in-order, unsuspended sequencing check inlined; gaps,
-        duplicates, and suspension fall back to the full
-        :meth:`_receive` logic.  The commit itself always goes through
-        :meth:`_process`, which external oracles (e.g.
-        ``OrderProbe``) may monkey-patch to observe apply order.
+        Multicast applies are taken a cohort at a time (see
+        :func:`apply_cohort` and :meth:`Network.attach`).
         """
-        packet = msg.payload
-        if self._relay_mode:
-            self._relay_apply(packet)
-        group = packet.group
-        expected = self._next_seq.get(group)
-        if (
-            expected is not None
-            and packet.seq == expected
-            and packet.epoch == self._epoch[group]
-            and not self._reorder[group]
-            and not self._suspended
-        ):
-            self._next_seq[group] = expected + 1
-            self._process(packet)
-            return
-        self._receive(packet)
+        if kind == "gwc.apply":
+            return (apply_cohort, self)
+        return None
+
+    def _on_apply(self, msg: Message) -> None:
+        """Delivery of one point-to-point ``gwc.apply``: a cohort of one."""
+        apply_cohort(((self,), msg.payload))
 
     def on_message(self, msg: Message) -> None:
         """Network delivery entry point for GWC traffic."""
@@ -883,3 +871,65 @@ class NodeInterface:
                         value=packet.value,
                     )
                 handler(packet.value)
+
+
+def apply_cohort(cohort: tuple) -> None:
+    """Deliver one sequenced apply to every interface of a cohort.
+
+    ``cohort[0]`` holds the interfaces whose FIFO-clamped arrivals
+    coincide, in target order, and ``cohort[1]`` the :class:`ApplyPacket`
+    they share (the record :meth:`Network.send_fanout` schedules).  Per
+    recipient this is ``on_message -> _receive -> _process ->
+    store.write`` inside the one event, with the common case inline: an
+    in-order, current-epoch packet on an unsuspended interface with
+    nothing buffered skips :meth:`NodeInterface._receive`, and a plain
+    commit — a value for a declared variable, no failover evidence to
+    keep, not this node's own mutex-data echo (Figure 6), no interrupt
+    armed on it — skips :meth:`NodeInterface._process`.  A recipient
+    whose ``_process`` or ``store.write`` is overridden on the instance
+    (``OrderProbe``, test spies) always goes through them: an observer
+    sees every apply.
+    """
+    packet = cohort[1]
+    group = packet.group
+    seq = packet.seq
+    epoch = packet.epoch
+    var = packet.var
+    value = packet.value
+    origin = packet.origin
+    is_lock = packet.is_lock
+    echo = packet.is_mutex_data and not is_lock
+    suppressed = value is SUPPRESSED
+    for iface in cohort[0]:
+        # Forward before this node's own ordering checks (_relay_apply).
+        if iface._relay_mode:
+            iface._relay_apply(packet)
+        if (
+            iface._next_seq.get(group) != seq
+            or iface._epoch[group] != epoch
+            or iface._reorder[group]
+            or iface._suspended
+        ):
+            iface._receive(packet)
+            continue
+        iface._next_seq[group] = seq + 1
+        store = iface.store
+        slot = store._slots.get(var)
+        if (
+            slot is None
+            or suppressed
+            or iface.nack_timeout is not None
+            or (echo and origin == iface.node)
+            or (is_lock and var in iface._interrupts)
+            or "_process" in iface.__dict__
+            or "write" in store.__dict__
+        ):
+            iface._process(packet)
+            continue
+        # LocalStore.write, inlined: commit, count, wake waiters.
+        slot[0] = value
+        slot[1] += 1
+        signal = slot[2]
+        if signal is not None:
+            signal.fire(value)
+        iface.applied_count += 1

@@ -82,3 +82,21 @@ def fire_train(train: tuple) -> None:
     handler = train[0]
     for msg in train[1]:
         handler(msg)
+
+
+def fire_cohort(cohort: tuple) -> None:
+    """Deliver one multicast payload to a cohort from a single heap event.
+
+    ``cohort`` is ``(receivers, payload, src, kind, size_bytes,
+    sent_at)`` with ``receivers`` the ``(dst, handler)`` pairs, in
+    target order, of the recipients whose FIFO-clamped arrivals
+    coincide.  Each handler gets its own :class:`Message`, exactly as
+    if the network had scheduled one delivery per recipient.  Scheduled
+    by :meth:`Network.send_fanout` for recipients that advertise no
+    batch entry point of their own.
+    """
+    receivers, payload, src, kind, size_bytes, sent_at = cohort
+    for dst, handler in receivers:
+        msg = Message(src, dst, kind, payload, size_bytes)
+        msg.sent_at = sent_at
+        handler(msg)

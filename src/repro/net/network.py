@@ -15,7 +15,9 @@ it), so the per-pair hop latency is memoized, delivery is scheduled by
 pushing a ``(arrival, priority, seq, handler, msg)`` entry directly
 onto the simulator's event heap (no closure or handle allocation per
 send), and the tracer check is a cached boolean rather than a property
-call.
+call.  A multicast (:meth:`Network.send_fanout`) goes further: its
+recipients are grouped into *cohorts* of equal FIFO-clamped arrival
+time, and each cohort costs one heap entry and one delivery loop.
 """
 
 from __future__ import annotations
@@ -26,13 +28,15 @@ from heapq import heappush
 from typing import Callable
 
 from repro.errors import NetworkError
-from repro.net.message import Message, fire_train
+from repro.net.message import Message, fire_cohort, fire_train
 from repro.net.topology import Topology
 from repro.params import MachineParams
 from repro.sim.kernel import Simulator
 
 #: Handler signature for delivered messages.
 Handler = Callable[[Message], None]
+#: ``batch(kind) -> (fire, receiver) | None`` (see :meth:`Network.attach`).
+BatchResolver = Callable[[str], "tuple[Callable[[tuple], None], object] | None"]
 
 
 @dataclass(slots=True)
@@ -72,23 +76,32 @@ class ChannelStats:
         default_factory=lambda: defaultdict(int)
     )
 
-    def note(self, msg: Message, delivered: bool = True) -> None:
-        self.messages += 1
-        self.bytes += msg.size_bytes
-        self.by_kind[msg.kind] += 1
-        self.outbound[msg.src] += 1
-        if delivered:
-            self.inbound[msg.dst] += 1
-        else:
-            self.dropped += 1
-            self.dropped_inbound[msg.dst] += 1
-
     def hottest_receiver(self) -> tuple[int, int]:
         """(node, message count) of the most-loaded receiver."""
         if not self.inbound:
             return (-1, 0)
         node = max(self.inbound, key=lambda n: self.inbound[n])
         return (node, self.inbound[node])
+
+
+@dataclass(frozen=True, slots=True)
+class _FanoutPlan:
+    """The payload-independent part of one ``(src, kind, targets)``
+    multicast, resolved once (see :meth:`Network.send_fanout`)."""
+
+    #: ``fire(record)`` delivers one cohort record ``(receivers,
+    #: payload, src, kind, size_bytes, sent_at)``: the recipients'
+    #: shared batch entry point, or the generic
+    #: :func:`~repro.net.message.fire_cohort`.
+    fire: Callable[[tuple], None]
+    #: Per target, in target order: the ``(src, dst)`` channel key and
+    #: what ``fire`` iterates over for that recipient.
+    keys: tuple[tuple[int, int], ...]
+    receivers: tuple
+    #: Targets grouped by hop latency, nearest first: ``(hop latency,
+    #: channel keys, receivers)``, members in target order.  Absent
+    #: FIFO clamping these are the equal-arrival cohorts.
+    cohorts: tuple[tuple[float, tuple, tuple], ...]
 
 
 class Network:
@@ -113,6 +126,10 @@ class Network:
         #: one dict lookup in :meth:`send`.
         self._resolvers: dict[int, Callable[[str], Handler]] = {}
         self._direct: dict[tuple[int, str], Handler] = {}
+        #: Optional per-node batch resolvers (see :meth:`attach`) and the
+        #: ``(src, kind, targets) -> plan`` cache of :meth:`send_fanout`.
+        self._batchers: dict[int, BatchResolver] = {}
+        self._fanout_plans: dict[tuple, _FanoutPlan] = {}
         #: Last scheduled arrival per (src, dst) channel, for FIFO clamping.
         self._last_arrival: dict[tuple[int, int], float] = {}
         #: Memoized ``hops * hop_latency`` per (src, dst) pair, so the
@@ -149,6 +166,7 @@ class Network:
         node: int,
         handler: Handler,
         resolver: Callable[[str], Handler] | None = None,
+        batch: BatchResolver | None = None,
     ) -> None:
         """Register the delivery handler for ``node`` (one per node).
 
@@ -160,6 +178,15 @@ class Network:
                 the handler's internal dispatch on every message.  Only
                 valid when dispatch is stateless per message (e.g. no
                 serialized interface-service queueing).
+            batch: Optional ``batch(kind) -> (fire, receiver) | None``
+                advertising batch delivery, under the same statelessness
+                condition.  When every recipient of a
+                :meth:`send_fanout` names the same ``fire``, each
+                equal-arrival cohort is delivered by one
+                ``fire(record)`` call — ``record[0]`` the cohort's
+                ``receiver`` objects in target order, ``record[1]`` the
+                payload — in place of one :class:`Message` and one
+                handler call per recipient.
         """
         if node in self._handlers:
             raise NetworkError(f"node {node} already has a handler attached")
@@ -168,6 +195,8 @@ class Network:
         self._handlers[node] = handler
         if resolver is not None:
             self._resolvers[node] = resolver
+        if batch is not None:
+            self._batchers[node] = batch
 
     def _resolve_direct(self, dst: int, kind: str) -> Handler:
         """Fill the ``(dst, kind)`` delivery cache (slow path, once)."""
@@ -276,6 +305,43 @@ class Network:
             sim.tracer.record(now, "net.send", msg=str(msg), arrival=arrival)
         return arrival
 
+    def _plan_fanout(
+        self, src: int, kind: str, targets: tuple[int, ...]
+    ) -> _FanoutPlan:
+        """Build and cache the fan-out plan for one multicast (once)."""
+        batches = []
+        for dst in targets:
+            batch = self._batchers.get(dst)
+            batches.append(batch(kind) if batch is not None else None)
+        if None not in batches and len({fire for fire, _ in batches}) == 1:
+            fire = batches[0][0]
+            receivers = tuple(receiver for _, receiver in batches)
+        else:
+            fire = fire_cohort
+            handlers = []
+            for dst in targets:
+                handler = self._direct.get((dst, kind))
+                if handler is None:
+                    handler = self._resolve_direct(dst, kind)
+                handlers.append((dst, handler))
+            receivers = tuple(handlers)
+        keys = tuple((src, dst) for dst in targets)
+        by_base: dict[float, list[int]] = {}
+        for index, dst in enumerate(targets):
+            # delay() of an empty payload is the memoized hop latency.
+            by_base.setdefault(self.delay(src, dst, 0), []).append(index)
+        cohorts = tuple(
+            (
+                base,
+                tuple(keys[i] for i in members),
+                tuple(receivers[i] for i in members),
+            )
+            for base, members in sorted(by_base.items())
+        )
+        plan = _FanoutPlan(fire, keys, receivers, cohorts)
+        self._fanout_plans[(src, kind, targets)] = plan
+        return plan
+
     def send_fanout(
         self,
         src: int,
@@ -287,11 +353,19 @@ class Network:
         """Send one payload from ``src`` to every target (multicast path).
 
         Semantically identical to building and :meth:`send`-ing one
-        :class:`Message` per target, but with the per-message constants
-        (stats counters, serialization delay, clock, heap) hoisted out
-        of the loop.  Loss-model, fault-injection, and tracing runs take
-        the plain :meth:`send` path so per-message drop decisions and
-        trace records stay exactly as before.
+        :class:`Message` per target — same stats, same per-channel
+        FIFO-clamped arrivals, same delivery order — but recipients
+        whose clamped arrivals coincide share ONE heap entry (a
+        *cohort*), delivered by one loop in target order.  The fan-out
+        still consumes one sequence number per recipient and keys its
+        entries inside that block: the block is contiguous and every
+        event is scheduled at priority 0, so no foreign event can sort
+        between two equal-time recipients and the per-message order is
+        reproduced exactly (docs/PROTOCOL.md §8, "Cohort delivery").
+
+        Loss-model, fault-injection, and tracing runs take the plain
+        :meth:`send` path so per-message drop decisions and trace
+        records stay exactly as before.
         """
         sim = self.sim
         if (
@@ -302,6 +376,9 @@ class Network:
             for dst in targets:
                 self.send(Message(src, dst, kind, payload, size_bytes))
             return
+        plan = self._fanout_plans.get((src, kind, targets))
+        if plan is None:
+            plan = self._plan_fanout(src, kind, targets)
         now = sim._now
         n = len(targets)
         stats = self.stats
@@ -310,34 +387,46 @@ class Network:
         stats.by_kind[kind] += n
         stats.outbound[src] += n
         inbound = stats.inbound
-        direct = self._direct
-        base_latency = self._base_latency
+        for dst in targets:
+            inbound[dst] += 1
         last_arrival = self._last_arrival
         serial = size_bytes / self._link_bandwidth
+        # Pass 1: the per-channel FIFO clamp, hop cohort by hop cohort.
+        # A clamped channel keeps its (later) last arrival; every other
+        # member lands on its cohort's arrival.
+        cohorts: list[tuple[float, object]] = []
+        regroup = False
+        for base, keys, receivers in plan.cohorts:
+            # The same expression as send(), so it rounds identically.
+            arrival = now + (base + serial)
+            if cohorts and arrival == cohorts[-1][0]:
+                # Two hop latencies rounded onto one instant: they are
+                # one cohort, interleaved in target order.
+                regroup = True
+            cohorts.append((arrival, receivers))
+            for key in keys:
+                previous = last_arrival.get(key)
+                if previous is not None and arrival < previous:
+                    regroup = True
+                else:
+                    last_arrival[key] = arrival
+        if regroup:
+            # A clamped recipient leaves its hop cohort and joins
+            # whichever cohort shares its clamped time, in target order.
+            # After pass 1 ``last_arrival`` holds every exact arrival.
+            groups: dict[float, list] = {}
+            for key, receiver in zip(plan.keys, plan.receivers):
+                groups.setdefault(last_arrival[key], []).append(receiver)
+            cohorts = list(groups.items())
         queue = self._queue
         heap = queue._heap
         seq = queue._next_seq
-        for dst in targets:
-            handler = direct.get((dst, kind))
-            if handler is None:
-                handler = self._resolve_direct(dst, kind)
-            msg = Message(src, dst, kind, payload, size_bytes)
-            msg.sent_at = now
-            key = (src, dst)
-            base = base_latency.get(key)
-            if base is None:
-                base = self.topology.hops(src, dst) * self._hop_latency
-                base_latency[key] = base
-            arrival = now + (base + serial)
-            inbound[dst] += 1
-            previous = last_arrival.get(key)
-            if previous is not None and arrival < previous:
-                arrival = previous
-            last_arrival[key] = arrival
-            heappush(heap, (arrival, 0, seq, handler, msg))
-            seq += 1
-        queue._next_seq = seq
-        queue._live += n
+        queue._next_seq = seq + n
+        fire = plan.fire
+        for offset, (arrival, receivers) in enumerate(cohorts):
+            record = (receivers, payload, src, kind, size_bytes, now)
+            heappush(heap, (arrival, 0, seq + offset, fire, record))
+        queue._live += len(cohorts)
 
     def send_fanout_train(
         self,

@@ -14,39 +14,40 @@
   stress and property tests.
 """
 
-from repro.workloads.base import WorkloadResult
-from repro.workloads.contention import ContentionConfig, run_contention
-from repro.workloads.counter import CounterConfig, run_counter
-from repro.workloads.lock_bench import LockBenchConfig, run_lock_bench
-from repro.workloads.pipeline import PipelineConfig, run_pipeline
-from repro.workloads.scenarios import (
-    DoubleWriteConfig,
-    Figure7Config,
-    run_double_write,
-    run_figure7,
-)
-from repro.workloads.stencil import StencilConfig, run_stencil
-from repro.workloads.synthetic import SyntheticConfig, run_synthetic
-from repro.workloads.task_queue import TaskQueueConfig, run_task_queue
+from importlib import import_module
 
-__all__ = [
-    "ContentionConfig",
-    "CounterConfig",
-    "DoubleWriteConfig",
-    "Figure7Config",
-    "LockBenchConfig",
-    "PipelineConfig",
-    "StencilConfig",
-    "SyntheticConfig",
-    "TaskQueueConfig",
-    "WorkloadResult",
-    "run_contention",
-    "run_counter",
-    "run_double_write",
-    "run_figure7",
-    "run_lock_bench",
-    "run_pipeline",
-    "run_stencil",
-    "run_synthetic",
-    "run_task_queue",
-]
+#: Public name -> defining submodule.  Resolved on first access (PEP 562
+#: module ``__getattr__``), so importing one workload — what a sweep or
+#: benchmark worker does — does not compile the other eight.
+_EXPORTS = {
+    "ContentionConfig": "contention",
+    "CounterConfig": "counter",
+    "DoubleWriteConfig": "scenarios",
+    "Figure7Config": "scenarios",
+    "LockBenchConfig": "lock_bench",
+    "PipelineConfig": "pipeline",
+    "StencilConfig": "stencil",
+    "SyntheticConfig": "synthetic",
+    "TaskQueueConfig": "task_queue",
+    "WorkloadResult": "base",
+    "run_contention": "contention",
+    "run_counter": "counter",
+    "run_double_write": "scenarios",
+    "run_figure7": "scenarios",
+    "run_lock_bench": "lock_bench",
+    "run_pipeline": "pipeline",
+    "run_stencil": "stencil",
+    "run_synthetic": "synthetic",
+    "run_task_queue": "task_queue",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    submodule = _EXPORTS.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{submodule}"), name)
+    globals()[name] = value
+    return value

@@ -5,8 +5,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import SequencingError
-from repro.memory.interface import ApplyPacket, NodeInterface
+from repro.errors import MemoryError_, SequencingError, UnknownVariableError
+from repro.memory.interface import (
+    SUPPRESSED,
+    ApplyPacket,
+    NodeInterface,
+    apply_cohort,
+)
 from repro.memory.packet_filter import HardwareBlockingFilter
 from repro.memory.sharing_group import SharingGroup
 from repro.memory.store import LocalStore
@@ -173,6 +178,65 @@ class TestLockInterrupt:
         iface._receive(packet(0, var="L", value=4, origin=0, lock=True))
         assert not iface.insharing_suspended
         assert store.read("L") == 4
+
+
+class TestApplyCohort:
+    """The batch entry point: inline only what ``_receive`` + ``_process``
+    would do for a plain in-order commit, defer to them for the rest."""
+
+    def test_in_order_commit_counts_and_wakes_waiters(self):
+        sim, iface, store, group = make_iface()
+        woken = []
+        store.signal_for("x").add_callback(woken.append)
+        apply_cohort(((iface,), packet(0, value=10)))
+        apply_cohort(((iface,), packet(1, value=20)))
+        assert store.read("x") == 20
+        assert store.write_counts["x"] == 2
+        assert iface.applied_count == 2
+        assert woken == [10]  # a signal wakes only the waiters it had
+
+    def test_future_seq_is_buffered_until_the_gap_fills(self):
+        sim, iface, store, group = make_iface()
+        apply_cohort(((iface,), packet(1, value=20)))
+        assert store.read("x") == 0 and iface.applied_count == 0
+        apply_cohort(((iface,), packet(0, value=10)))
+        assert store.read("x") == 20 and iface.applied_count == 2
+
+    def test_suspended_member_queues_while_its_sibling_applies(self):
+        sim, iface, store, group = make_iface(node=1)
+        sibling = NodeInterface(sim, iface.network, 2, LocalStore(2))
+        sibling.join_group(group)
+        iface.suspend_insharing()
+        apply_cohort(((iface, sibling), packet(0, value=5)))
+        assert (store.read("x"), iface.pending_suspended) == (0, 1)
+        assert sibling.store.read("x") == 5
+
+    def test_own_mutex_echo_is_dropped_but_consumes_its_seq(self):
+        sim, iface, store, group = make_iface(node=1)
+        apply_cohort(((iface,), packet(0, var="m", value=99, origin=1, mutex=True)))
+        assert store.read("m") == 0
+        assert (iface.filter.dropped, iface.applied_count) == (1, 0)
+        apply_cohort(((iface,), packet(1, var="m", value=7, origin=2, mutex=True)))
+        assert store.read("m") == 7
+
+    def test_echo_applies_when_blocking_is_disabled(self):
+        sim, iface, store, group = make_iface(node=1, echo_blocking=False)
+        apply_cohort(((iface,), packet(0, var="m", value=99, origin=1, mutex=True)))
+        assert store.read("m") == 99 and iface.filter.dropped == 0
+
+    def test_header_only_apply_keeps_the_local_value(self):
+        sim, iface, store, group = make_iface()
+        apply_cohort(((iface,), packet(0, value=SUPPRESSED)))
+        assert store.read("x") == 0
+        assert (iface.suppressed_applies, iface.applied_count) == (1, 0)
+
+    def test_undeclared_variable_and_unjoined_group_still_raise(self):
+        sim, iface, store, group = make_iface()
+        with pytest.raises(UnknownVariableError):
+            apply_cohort(((iface,), packet(0, var="ghost")))
+        stranger = ApplyPacket("other", 0, "x", 1, 0, False, False)
+        with pytest.raises(MemoryError_, match="unjoined group"):
+            apply_cohort(((iface,), stranger))
 
 
 class TestOutbound:

@@ -150,3 +150,40 @@ class TestCliGrouping:
         assert main(["grouping", "--sizes", "8"]) == 0
         out = capsys.readouterr().out
         assert "global root" in out
+
+
+class TestLazyPackageExports:
+    """``repro.workloads`` / ``repro.experiments`` resolve their public
+    names on first access, so a worker importing one module does not
+    compile its siblings."""
+
+    @pytest.mark.parametrize("package", ["repro.workloads", "repro.experiments"])
+    def test_every_public_name_resolves_to_its_submodule(self, package):
+        import importlib
+
+        module = importlib.import_module(package)
+        assert module.__all__ == sorted(module._EXPORTS)
+        for name, submodule in module._EXPORTS.items():
+            owner = importlib.import_module(f"{package}.{submodule}")
+            assert getattr(module, name) is getattr(owner, name)
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            module.nope
+
+    def test_importing_one_workload_leaves_its_siblings_unloaded(self):
+        import subprocess
+        import sys
+
+        probe = (
+            "import sys, repro.workloads.pipeline, repro.experiments.figure2\n"
+            "from repro.workloads import run_pipeline, PipelineConfig\n"
+            "from repro.experiments import run_figure2\n"
+            "loaded = [m for m in ('stencil', 'lock_bench', 'scenarios', 'synthetic')\n"
+            "          if 'repro.workloads.' + m in sys.modules]\n"
+            "loaded += [m for m in ('burst', 'figure1', 'figure8')\n"
+            "           if 'repro.experiments.' + m in sys.modules]\n"
+            "print(loaded)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "[]"

@@ -60,6 +60,21 @@ _SEND = "heappush(queue._heap, (arrival, %d, seq, handler, msg))"
 _RESUME = (
     "if value is None:\n            self._push(self.sim._now, self._resume_none%s)"
 )
+_ENTRY = "heappush(heap, (arrival, %d, seq + offset, fire, record))"
+_RELAY = (
+    "        if iface._relay_mode:\n"
+    "            iface._relay_apply(packet)\n"
+)
+_GATE = (
+    "        if (\n"
+    "            iface._next_seq.get(group) != seq\n"
+    "            or iface._epoch[group] != epoch\n"
+    "            or iface._reorder[group]\n"
+    "            or iface._suspended\n"
+    "        ):\n"
+    "            iface._receive(packet)\n"
+    "            continue\n"
+)
 
 MUTANTS: list[Mutant] = [
     Mutant("fifo_clamp_dropped", "net/network.py", _KEEP + _CLAMP, _KEEP),
@@ -69,8 +84,8 @@ MUTANTS: list[Mutant] = [
            "self.queue.pop(0))\n            return [",
            "self.queue.pop())\n            return ["),
     Mutant("fanout_targets_reversed", "net/network.py",
-           "seq = queue._next_seq\n        for dst in targets:",
-           "seq = queue._next_seq\n        for dst in reversed(targets):"),
+           "for index, dst in enumerate(targets):",
+           "for index, dst in reversed(list(enumerate(targets))):"),
     Mutant("member_epoch_fence_skipped", "memory/interface.py",
            "if packet.epoch < current_epoch:", "if False:"),
     Mutant("root_epoch_fence_skipped", "consistency/gwc.py",
@@ -85,10 +100,11 @@ MUTANTS: list[Mutant] = [
     Mutant("echo_filter_never_drops", "memory/interface.py",
            "            flt.enabled\n", "            False\n"),
     Mutant("apply_accepts_future_seq", "memory/interface.py",
-           "and packet.seq == expected", "and packet.seq >= expected"),
+           "if packet.seq == expected and not self._reorder[group]:",
+           "if packet.seq >= expected and not self._reorder[group]:"),
     Mutant("arrivals_after_local_events", "net/network.py", _SEND % 0, _SEND % 1),
     Mutant("suspended_queue_lifo", "memory/interface.py",
-           "self._suspended_queue.pop(0)", "self._suspended_queue.pop()"),
+           "self._suspended_queue.popleft()", "self._suspended_queue.pop()"),
     Mutant("signal_fire_reversed", "sim/waiters.py",
            "for callback in waiters:", "for callback in reversed(waiters):"),
     Mutant("sibling_flush_reversed", "memory/interface.py",
@@ -98,6 +114,25 @@ MUTANTS: list[Mutant] = [
     Mutant("resume_at_lazy_priority", "sim/process.py", _RESUME % "", _RESUME % ", 1"),
     Mutant("hidden_root_lock_read", "locks/optimistic.py",
            "        local_now = store.read(lock)\n", HIDDEN_ROOT_READ),
+    # Cohort delivery: one mutant per ordering decision it takes.
+    Mutant("cohort_iterated_in_reverse", "memory/interface.py",
+           "for iface in cohort[0]:", "for iface in reversed(cohort[0]):"),
+    Mutant("fire_cohort_in_reverse", "net/message.py",
+           "for dst, handler in receivers:",
+           "for dst, handler in reversed(receivers):"),
+    Mutant("clamped_stays_in_hop_cohort", "net/network.py",
+           "        if regroup:\n", "        if False:\n"),
+    Mutant("regroup_reverses_target_order", "net/network.py",
+           "zip(plan.keys, plan.receivers)",
+           "zip(plan.keys[::-1], plan.receivers[::-1])"),
+    Mutant("cohort_entry_at_priority_1", "net/network.py", _ENTRY % 0, _ENTRY % 1),
+    Mutant("cohort_gate_accepts_future_seq", "memory/interface.py",
+           "iface._next_seq.get(group) != seq",
+           "iface._next_seq.get(group, seq + 1) > seq"),
+    Mutant("cohort_echo_filter_never_drops", "memory/interface.py",
+           "or (echo and origin == iface.node)", "or False"),
+    Mutant("relay_forward_after_gate", "memory/interface.py",
+           _RELAY + _GATE, _GATE + _RELAY),
 ]
 
 
