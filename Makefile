@@ -52,12 +52,14 @@ bench-selftest:
 	PYTHONPATH=src $(PY) -m pytest benchmarks/layered/test_layered.py
 
 # Alternating parent/change pairs of the BENCHMARK.json contract command
-# on one workload: per-metric medians, quartiles and pairs won.  Minutes,
-# so a developer tool, not CI (docs/REPRODUCING.md section 6).
-#   make bench-pairs BASE=<rev> WORKLOAD=<name> [PAIRS=10]
+# on one workload, several, or all: per-metric medians, quartiles and
+# pairs won; EXACT=1 first compares the repeatable counts of one
+# --trace 1 pass per side.  Minutes per workload, so a developer tool,
+# not CI (docs/REPRODUCING.md section 6).
+#   make bench-pairs BASE=<rev> WORKLOAD=all|"<name> ..." [PAIRS=10] [EXACT=1]
 PAIRS ?= 10
 bench-pairs:
-	$(PY) tools/bench_pairs.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS)
+	$(PY) tools/bench_pairs.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS) $(if $(EXACT),--exact)
 
 # Which test tier (goldens, smoke, unit) catches which seeded ordering
 # bug: one row per mutant, exit 1 if one survives every tier.  About

@@ -20,12 +20,15 @@ Behaviours the paper's comparison depends on (Section 3, Figure 1(b)):
 
 from __future__ import annotations
 
+import dataclasses
+from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Generator
 
 from repro.consistency.base import DsmSystem, register_system
 from repro.core.node import NodeHandle
-from repro.errors import LockStateError
+from repro.errors import ExperimentError, LockStateError
 from repro.net.message import Message
 from repro.sim.waiters import Future
 
@@ -41,7 +44,7 @@ class _EcLockState:
     owner: int
     held: bool = False
     granting: bool = False
-    queue: list[tuple[int, str]] = field(default_factory=list)
+    queue: deque[tuple[int, str]] = field(default_factory=deque)
     #: Nodes holding valid copies of the guarded data.
     copyset: set[int] = field(default_factory=set)
     pending_acks: int = 0
@@ -94,6 +97,9 @@ class EntrySystem(DsmSystem):
         self._locks: dict[str, _EcLockState] = {}
         #: Home (latest exclusive writer) of each non-guarded variable.
         self._var_home: dict[str, int] = {}
+        #: Declaring group of each variable nobody has written yet: its
+        #: root is the home until the first write.
+        self._decl_group: dict[str, "SharingGroup"] = {}  # noqa: F821
         #: Futures for requesters blocked on a grant: (lock, node).
         self._grant_waits: dict[tuple[str, int], Future] = {}
         #: Futures for in-flight demand fetches, keyed by fetch id.
@@ -106,8 +112,33 @@ class EntrySystem(DsmSystem):
             if fetch_service_time is not None
             else self.DEFAULT_FETCH_SERVICE_TIME
         )
+        if self.fetch_service_time < 0:
+            raise ExperimentError(
+                f"fetch_service_time must be >= 0: {self.fetch_service_time}"
+            )
         self._home_free_at: dict[int, float] = {}
-        machine.register_kind_handler("ec", self._on_message)
+        #: ``(home, var) -> (reply wire bytes, memory time)``: constants
+        #: of the frozen declaration, derived on the first fetch served.
+        self._fetch_cost: dict[tuple[int, str], tuple[int, float]] = {}
+        #: A fetch reply is fire-and-forget and never scheduled in the
+        #: past (``free_at >= now``), so it takes the handle-less heap
+        #: entry, bound once as Process binds ``push_fn``.
+        self._sim = machine.sim
+        self._push_call = machine.sim._queue.push_call
+        self._net_send = machine.network.send
+        self._packet_bytes = machine.params.packet_bytes
+        #: ``kind -> handler(node_id, msg)``: the one dispatch table.
+        self._handlers: dict[str, Callable[[int, Message], None]] = {
+            "ec.acquire_req": self._on_acquire_req,
+            "ec.grant": self._on_grant,
+            "ec.invalidate": self._on_invalidate,
+            "ec.inval_ack": self._on_inval_ack,
+            "ec.fetch_req": self._serve_fetch,
+            "ec.fetch_reply": self._on_fetch_reply,
+        }
+        machine.register_kind_handler(
+            "ec", self._on_message, per_node=self._delivery_for
+        )
         #: Diagnostics.
         self.invalidations = 0
         self.data_grants = 0
@@ -129,10 +160,15 @@ class EntrySystem(DsmSystem):
         home = self._var_home.get(var)
         if home is not None:
             return home
-        for group in self.machine.groups.values():
-            if var in group.variables:
-                return group.root
-        raise LockStateError(f"no group declares variable {var!r}")
+        group = self._decl_group.get(var)
+        if group is None:
+            for group in self.machine.groups.values():
+                if var in group.variables:
+                    break
+            else:
+                raise LockStateError(f"no group declares variable {var!r}")
+            self._decl_group[var] = group
+        return group.root
 
     def seed_copyset(self, lock: str, nodes: tuple[int, ...]) -> None:
         """Pre-populate non-exclusive holders (Figure 1(b)'s setup)."""
@@ -141,17 +177,13 @@ class EntrySystem(DsmSystem):
     def _send(
         self, src: int, dst: int, kind: str, payload: Any, size_bytes: int | None = None
     ) -> None:
-        self.machine.network.send(
+        self._net_send(
             Message(
-                src=src,
-                dst=dst,
-                kind=kind,
-                payload=payload,
-                size_bytes=(
-                    size_bytes
-                    if size_bytes is not None
-                    else self.machine.params.packet_bytes
-                ),
+                src,
+                dst,
+                kind,
+                payload,
+                self._packet_bytes if size_bytes is None else size_bytes,
             )
         )
 
@@ -163,27 +195,29 @@ class EntrySystem(DsmSystem):
         """Guarded or home-local reads are local; otherwise demand fetch."""
         group = node.iface.group_of(var)
         decl = group.var_decl(var)
-        if decl.is_mutex_data or self._home(var) == node.id:
+        if decl.is_mutex_data or (home := self._home(var)) == node.id:
             return node.store.read(var)
-        return (yield from self._fetch(node, var))
-
-    def _fetch(self, node: NodeHandle, var: str) -> Generator[Any, Any, Any]:
-        """One demand-fetch round trip to the variable's home."""
-        self.fetches += 1
-        node.metrics.count("ec.fetches")
-        self._fetch_ids += 1
-        fetch_id = self._fetch_ids
-        future = Future(name=f"ec.fetch.{fetch_id}")
-        self._fetch_waits[fetch_id] = future
-        self._send(
-            node.id,
-            self._home(var),
-            "ec.fetch_req",
-            payload=(fetch_id, var, node.id),
-        )
-        value = yield future
+        value = yield self._start_fetch(node, var, home)
         node.store.write(var, value)
         return value
+
+    def _start_fetch(self, node: NodeHandle, var: str, home: int) -> Future:
+        """Send one demand fetch to ``home``; the future is its reply."""
+        self.fetches += 1
+        node.metrics.count("ec.fetches")
+        self._fetch_ids = fetch_id = self._fetch_ids + 1
+        # Named for the variable: what a deadlock report should show.
+        future = self._fetch_waits[fetch_id] = Future(f"ec.fetch.{var}")
+        self._net_send(
+            Message(
+                node.id,
+                home,
+                "ec.fetch_req",
+                (fetch_id, var, node.id),
+                self._packet_bytes,
+            )
+        )
+        return future
 
     def write(
         self, node: NodeHandle, var: str, value: Any
@@ -217,15 +251,15 @@ class EntrySystem(DsmSystem):
             # The home migrates to whichever node wrote last, so it must
             # be re-evaluated every round — a waiter that trusted a stale
             # home would sleep on a copy nobody will ever update.
-            if self._home(var) == node.id:
+            home = self._home(var)
+            if home == node.id:
                 value = node.store.read(var)
-                fetched = False
             else:
-                value = yield from self._fetch(node, var)
-                fetched = True
+                value = yield self._start_fetch(node, var, home)
+                node.store.write(var, value)
             if predicate(value):
                 return value
-            if not fetched:
+            if home == node.id:
                 yield self.poll_interval()
 
     def poll_interval(self) -> float:
@@ -316,27 +350,27 @@ class EntrySystem(DsmSystem):
     # Message handling
     # ------------------------------------------------------------------
 
-    def _on_message(self, node_id: int, msg: Message) -> None:
-        if msg.kind == "ec.acquire_req":
-            self._on_acquire_req(node_id, msg.payload)
-        elif msg.kind == "ec.grant":
-            self._on_grant(node_id, msg.payload)
-        elif msg.kind == "ec.invalidate":
-            lock, owner = msg.payload
-            state = self._lock_state(lock)
-            state.copyset.discard(node_id)
-            self._send(node_id, owner, "ec.inval_ack", payload=lock)
-        elif msg.kind == "ec.inval_ack":
-            self._on_inval_ack(node_id, msg.payload)
-        elif msg.kind == "ec.fetch_req":
-            self._serve_fetch(node_id, msg.payload)
-        elif msg.kind == "ec.fetch_reply":
-            fetch_id, value = msg.payload
-            self._fetch_waits.pop(fetch_id).resolve(value)
-        else:
-            raise LockStateError(f"unknown entry-consistency message {msg.kind!r}")
+    def _delivery_for(self, node_id: int, kind: str) -> Callable[[Message], None]:
+        """The final delivery callable for one ``(node, kind)`` pair.
 
-    def _serve_fetch(self, node_id: int, payload: tuple[int, str, int]) -> None:
+        An unknown ``ec.*`` kind resolves to :meth:`_on_message`, which
+        raises when the message is delivered, not when it is sent.
+        """
+        return partial(self._handlers.get(kind, self._on_message), node_id)
+
+    def _on_message(self, node_id: int, msg: Message) -> None:
+        handler = self._handlers.get(msg.kind)
+        if handler is None:
+            raise LockStateError(f"unknown entry-consistency message {msg.kind!r}")
+        handler(node_id, msg)
+
+    def _on_invalidate(self, node_id: int, msg: Message) -> None:
+        lock, owner = msg.payload
+        state = self._lock_state(lock)
+        state.copyset.discard(node_id)
+        self._send(node_id, owner, "ec.inval_ack", payload=lock)
+
+    def _serve_fetch(self, node_id: int, msg: Message) -> None:
         """Serve one demand fetch at the home node.
 
         Unlike eagersharing (done by dedicated interface hardware without
@@ -346,34 +380,47 @@ class EntrySystem(DsmSystem):
         hot-spot, the paper's reason demand-fetch protocols "do not
         execute efficiently on more than a few dozen processors".
         """
-        fetch_id, var, requester = payload
+        fetch_id, var, requester = msg.payload
         node = self.machine.nodes[node_id]
         value = node.store.read(var)
-        size = node.iface.group_of(var).wire_bytes(
-            var, self.machine.params.packet_bytes
-        )
-        service = self.machine.params.memory_time(size) + self.fetch_service_time
-        now = self.machine.sim.now
+        cost = self._fetch_cost.get((node_id, var))
+        if cost is None:
+            size = node.iface.group_of(var).wire_bytes(var, self._packet_bytes)
+            cost = (size, self.machine.params.memory_time(size))
+            self._fetch_cost[(node_id, var)] = cost
+        size, memory_time = cost
+        service = memory_time + self.fetch_service_time
+        now = self._sim._now
         free_at = max(now, self._home_free_at.get(node_id, 0.0)) + service
         self._home_free_at[node_id] = free_at
-        self.machine.sim.at(
+        self._push_call(
             free_at,
-            lambda: self._send(
-                node_id,
-                requester,
-                "ec.fetch_reply",
-                payload=(fetch_id, value),
-                size_bytes=size,
-            ),
+            self._send_fetch_reply,
+            (node_id, requester, fetch_id, value, size),
         )
 
-    def _on_acquire_req(self, node_id: int, req: _Req) -> None:
+    def _send_fetch_reply(self, record: tuple[int, int, int, Any, int]) -> None:
+        """The served value leaves the home once its memory is free."""
+        home, requester, fetch_id, value, size = record
+        self._net_send(
+            Message(home, requester, "ec.fetch_reply", (fetch_id, value), size)
+        )
+
+    def _on_fetch_reply(self, node_id: int, msg: Message) -> None:
+        fetch_id, value = msg.payload
+        waiter = self._fetch_waits.pop(fetch_id, None)
+        if waiter is None:
+            raise LockStateError(
+                f"fetch reply {fetch_id} at {node_id} had no waiter"
+            )
+        waiter.resolve(value)
+
+    def _on_acquire_req(self, node_id: int, msg: Message) -> None:
+        req: _Req = msg.payload
         state = self._lock_state(req.lock)
         if state.owner != node_id:
             # Wrong guess (or ownership transferred in flight): forward.
             self.machine.nodes[node_id].metrics.count("ec.forwards")
-            import dataclasses
-
             forwarded = dataclasses.replace(req, forwards=req.forwards + 1)
             if self.owner_oracle or req.forwards + 1 >= self.MAX_FORWARDS:
                 target = state.owner  # authoritative
@@ -412,7 +459,8 @@ class EntrySystem(DsmSystem):
                 return
         self._finish_grant(lock, state)
 
-    def _on_inval_ack(self, node_id: int, lock: str) -> None:
+    def _on_inval_ack(self, node_id: int, msg: Message) -> None:
+        lock: str = msg.payload
         state = self._lock_state(lock)
         if state.owner != node_id or state.pending_grant is None:
             raise LockStateError(f"stray invalidation ack for {lock!r} at {node_id}")
@@ -449,8 +497,8 @@ class EntrySystem(DsmSystem):
             # Non-exclusive grants do not block the queue.
             self._pump_queue(lock, state)
 
-    def _on_grant(self, node_id: int, payload: tuple[str, str, dict[str, Any]]) -> None:
-        lock, mode, data = payload
+    def _on_grant(self, node_id: int, msg: Message) -> None:
+        lock, mode, data = msg.payload
         state = self._lock_state(lock)
         # The grantee now knows the owner exactly: itself.
         self._owner_guess[(lock, node_id)] = node_id
@@ -466,7 +514,7 @@ class EntrySystem(DsmSystem):
 
     def _pump_queue(self, lock: str, state: _EcLockState) -> None:
         if state.queue and not state.held and not state.granting:
-            requester, mode = state.queue.pop(0)
+            requester, mode = state.queue.popleft()
             self._start_grant(lock, state, requester, mode)
 
 

@@ -15,7 +15,6 @@ member equals the topology's shortest-path distance.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 from repro.errors import TopologyError
@@ -76,62 +75,31 @@ def build_bfs_tree(
 ) -> SpanningTree:
     """Build the group distribution tree rooted at ``root``.
 
-    Runs Dijkstra over the complete graph on ``members`` with hop-count
-    edge weights, breaking ties in favour of fewer tree edges and then
-    lower node ids so tree construction is deterministic.
+    The shortest-path tree over the complete graph on ``members`` with
+    hop-count edge weights, ties broken in favour of fewer tree edges,
+    is a star: hop counts obey the triangle inequality, so no two-edge
+    path beats the direct root-to-member edge and an equal one has more
+    edges.  Every member therefore hangs off the root at its metric
+    distance (``tests/unit/test_spanning_tree.py`` keeps the Dijkstra
+    this replaces as the reference).
     """
     member_set = set(members)
     member_set.add(root)
     ordered = sorted(member_set)
-    if root not in member_set:
-        raise TopologyError(f"root {root} must be a member")
     for node in ordered:
         if not 0 <= node < topology.n_nodes:
             raise TopologyError(f"member {node} not in {topology!r}")
 
-    # Dijkstra state: (distance, tree-edge count, node id) keeps ordering
-    # total and deterministic.
-    dist: dict[int, int] = {root: 0}
-    edges: dict[int, int] = {root: 0}
-    parent: dict[int, int] = {root: root}
-    done: set[int] = set()
-    frontier: list[tuple[int, int, int]] = [(0, 0, root)]
-
-    while frontier:
-        d, e, node = heapq.heappop(frontier)
-        if node in done:
-            continue
-        done.add(node)
-        for other in ordered:
-            if other in done:
-                continue
-            cand = d + topology.hops(node, other)
-            cand_edges = e + 1
-            best = dist.get(other)
-            if (
-                best is None
-                or cand < best
-                or (cand == best and cand_edges < edges[other])
-            ):
-                dist[other] = cand
-                edges[other] = cand_edges
-                parent[other] = node
-                heapq.heappush(frontier, (cand, cand_edges, other))
-
-    missing = member_set - done
-    if missing:
-        raise TopologyError(f"members unreachable from root: {sorted(missing)}")
-
-    children: dict[int, list[int]] = {node: [] for node in ordered}
-    for node in ordered:
-        if node != root:
-            children[parent[node]].append(node)
-
+    parent = {root: root}
+    depth_hops = {root: 0}
+    children: dict[int, tuple[int, ...]] = {node: () for node in ordered}
+    leaves = tuple(node for node in ordered if node != root)
+    for node in leaves:
+        parent[node] = root
+        depth_hops[node] = topology.hops(root, node)
+    children[root] = leaves
     return SpanningTree(
-        root=root,
-        parent=parent,
-        children={node: tuple(kids) for node, kids in children.items()},
-        depth_hops=dist,
+        root=root, parent=parent, children=children, depth_hops=depth_hops
     )
 
 

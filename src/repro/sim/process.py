@@ -132,7 +132,13 @@ class Process:
         self._dispatch(request)
 
     def _dispatch(self, request: Any) -> None:
-        if request.__class__ is float or request.__class__ is int:
+        # Exact-class tests first: a wait on a plain Future and a sleep
+        # are the two hot requests; subclasses reach the isinstance arms.
+        if request.__class__ is Future:
+            self.waiting_on = request
+            self.waiting_since = self.sim._now
+            request.add_callback(self._resume_later)
+        elif request.__class__ is float or request.__class__ is int:
             if request < 0:
                 raise ProcessError(
                     f"process {self.name!r} yielded a negative delay: {request}"
@@ -147,11 +153,7 @@ class Process:
                     f"process {self.name!r} yielded a negative delay: {request}"
                 )
             self._push(self.sim._now + float(request), self._resume_none)
-        elif isinstance(request, Future):
-            self.waiting_on = request
-            self.waiting_since = self.sim._now
-            request.add_callback(self._resume_later)
-        elif isinstance(request, Signal):
+        elif isinstance(request, (Future, Signal)):
             self.waiting_on = request
             self.waiting_since = self.sim._now
             request.add_callback(self._resume_later)

@@ -135,6 +135,32 @@ class TestFutureWaiting:
         sim.run()
         assert got == [7]
 
+    @pytest.mark.parametrize("subclassed", [False, True], ids=["Future", "subclass"])
+    def test_a_future_subclass_waits_like_a_future(self, subclassed):
+        """``_dispatch`` tests the exact class first; a subclass must
+        still reach the ``isinstance`` arm and cost the same events."""
+
+        class Tagged(Future):
+            __slots__ = ()
+
+        sim = Simulator()
+        future = Tagged(name="tagged") if subclassed else Future(name="tagged")
+        got: list[object] = []
+
+        def waiter():
+            got.append((yield future))
+            got.append(sim.now)
+
+        process = sim.spawn(waiter(), name="w")
+        sim.schedule(2.0, lambda: future.resolve("payload"))
+        sim.run(until=1.0)
+        assert process.waiting_on is future
+        assert process.describe_wait() == "waiting on future 'tagged' since t=0"
+        assert sim.pending_events == 1
+        sim.run()
+        assert got == ["payload", 2.0]
+        assert process.steps == 2
+
     def test_double_resolve_rejected(self):
         future = Future()
         future.resolve(1)

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import heapq
+
 import pytest
 
 from repro.errors import TopologyError
 from repro.net.multicast import MulticastTree
 from repro.net.network import Network
-from repro.net.spanning_tree import build_bfs_tree
-from repro.net.topology import MeshTorus, Ring, Star
+from repro.net.spanning_tree import SpanningTree, build_bfs_tree
+from repro.net.topology import FullyConnected, MeshTorus, Ring, Star
 from repro.params import MachineParams
 from repro.sim.kernel import Simulator
 
@@ -63,6 +65,77 @@ class TestBuildTree:
         tree = build_bfs_tree(Ring(4), root=0, members=(0, 1))
         with pytest.raises(TopologyError):
             tree.path_to_root(3)
+
+
+def dijkstra_tree(topology, root, members) -> SpanningTree:
+    """The reference ``build_bfs_tree`` replaced: Dijkstra over the
+    complete graph on ``members`` with hop-count edge weights, ties to
+    fewer tree edges, then lower node ids."""
+    ordered = sorted({root, *members})
+    dist = {root: 0}
+    edges = {root: 0}
+    parent = {root: root}
+    done = set()
+    frontier = [(0, 0, root)]
+    while frontier:
+        d, e, node = heapq.heappop(frontier)
+        if node in done:
+            continue
+        done.add(node)
+        for other in ordered:
+            if other in done:
+                continue
+            cand = d + topology.hops(node, other)
+            best = dist.get(other)
+            if (
+                best is None
+                or cand < best
+                or (cand == best and e + 1 < edges[other])
+            ):
+                dist[other] = cand
+                edges[other] = e + 1
+                parent[other] = node
+                heapq.heappush(frontier, (cand, e + 1, other))
+    children = {node: [] for node in ordered}
+    for node in ordered:
+        if node != root:
+            children[parent[node]].append(node)
+    return SpanningTree(
+        root=root,
+        parent=parent,
+        children={node: tuple(kids) for node, kids in children.items()},
+        depth_hops=dist,
+    )
+
+
+class TestStarEqualsDijkstra:
+    """The direct construction is the shortest-path tree, field for
+    field and in the same dict order, on every topology class."""
+
+    @pytest.mark.parametrize("topology_cls", [MeshTorus, Ring, Star, FullyConnected])
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 33])
+    def test_every_field_matches_the_reference(self, topology_cls, n):
+        topology = topology_cls(n)
+        subsets = {
+            tuple(range(n)),
+            tuple(range(0, n, 2)),
+            tuple(range(n - 1, -1, -3)),
+            (n // 2,),
+        }
+        for members in subsets:
+            for root in {0, n // 2, n - 1, members[0]}:
+                built = build_bfs_tree(topology, root, members)
+                reference = dijkstra_tree(topology, root, members)
+                assert built.root == reference.root
+                for name in ("parent", "children", "depth_hops"):
+                    assert list(getattr(built, name).items()) == list(
+                        getattr(reference, name).items()
+                    ), (name, root, members)
+                built.validate(topology)
+
+    def test_root_outside_the_topology_rejected(self):
+        with pytest.raises(TopologyError, match="member 9 not in"):
+            build_bfs_tree(Ring(4), root=9, members=(0, 1))
 
 
 class TestMulticast:

@@ -1,16 +1,25 @@
 #!/usr/bin/env python3
 """Alternating parent/change pairs of the BENCHMARK.json contract command.
 
-``python tools/bench_pairs.py --base REV --workload NAME [--pairs 10]``
-exports ``REV`` (``git archive``) and the working tree (every file git
-tracks or would track) into two fresh temporary directories, so neither
-side starts with a ``__pycache__`` the other lacks, then runs the
-contract command (``BENCHMARK.json``: ``command`` + ``--workload W
---seed N --seconds run_seconds --trace 0``) once per side per pair —
-odd pairs parent first, even pairs change first, seeds ``0..N-1`` — and
-prints, per end-to-end metric, each side's median and quartiles and the
-pairs won by the change, tied, and won by the parent.  A run with a
-failed operation on either side aborts: a gain does not count then.
+``python tools/bench_pairs.py --base REV --workload NAME... [--pairs 10]
+[--exact]`` exports ``REV`` (``git archive``) and the working tree
+(every file git tracks or would track) once, into two fresh temporary
+directories, so neither side starts with a ``__pycache__`` the other
+lacks, then runs the contract command (``BENCHMARK.json``: ``command`` +
+``--workload W --seed N --seconds run_seconds --trace 0``) once per side
+per workload per pair — odd pairs parent first, even pairs change first,
+seeds ``0..N-1``, the workloads (several names, or ``all``) interleaved
+inside each pair — and prints, per workload and end-to-end metric, each
+side's median and quartiles and the pairs won by the change, tied, and
+won by the parent.  A run with a failed operation on either side
+aborts: a gain does not count then.
+
+``--exact`` first makes one ``--trace 1`` pass per side per workload and
+prints, for every metric the contract gives a repeatable unit (counts
+and simulated time: ``sim.time_us``, ``sim.kernel.events``,
+``host.calls_total``, the protocol counts, each layer's ``calls``),
+whether the change reads equal, lower or higher than the parent — the
+"bit-identical" and "must not move" lines of a claim.
 
 This is the measurement a claimed gain needs (>= 9 of 10 pairs won, the
 medians further apart than the parent's own quartile distance); it takes
@@ -31,6 +40,10 @@ import sys
 import tempfile
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
+#: Units whose values repeat exactly from run to run.
+EXACT_UNITS = ("count", "sim_us")
+#: Seed of the ``--exact`` traced pass.
+EXACT_SEED = 1
 
 
 def export_revision(rev: str, into: pathlib.Path) -> None:
@@ -58,15 +71,15 @@ def export_working_tree(into: pathlib.Path) -> None:
 
 
 def contract_run(
-    cwd: pathlib.Path, contract: dict, workload: str, seed: int
+    cwd: pathlib.Path, contract: dict, workload: str, seed: int, trace: int = 0
 ) -> dict[str, float]:
-    """One contract run in ``cwd``; returns {end-to-end metric: value}."""
+    """One contract run in ``cwd``; returns {metric: value} as printed."""
     command = [
         *contract["command"],
         "--workload", workload,
         "--seed", str(seed),
         "--seconds", str(contract["run_seconds"]),
-        "--trace", "0",
+        "--trace", str(trace),
     ]  # fmt: skip
     done = subprocess.run(command, cwd=cwd, capture_output=True, text=True)
     if done.returncode != 0:
@@ -79,10 +92,34 @@ def contract_run(
             f"{workload} seed {seed} in {cwd}: {result['failed']} of "
             f"{result['attempted']} operations failed"
         )
-    return {
-        metric["name"]: result["metrics"][metric["name"]]["value"]
-        for metric in contract["end_to_end"]
-    }
+    return {name: entry["value"] for name, entry in result["metrics"].items()}
+
+
+def exact_report(
+    contract: dict, workload: str, parent: dict[str, float], change: dict[str, float]
+) -> str:
+    """Equal / lower / higher for every exactly repeatable metric that
+    is non-zero on either side of one traced pass."""
+    lines = [f"{workload}: --trace 1, seed {EXACT_SEED}, exact metrics"]
+    moved = 0
+    for metric in contract["per_layer"]:
+        name = metric["name"]
+        if metric["unit"] not in EXACT_UNITS:
+            continue
+        before, after = parent[name], change[name]
+        if before == after == 0:
+            continue
+        if before == after:
+            lines.append(f"  equal   {name:<32} {after:,.12g}")
+            continue
+        moved += 1
+        verdict = "lower" if after < before else "higher"
+        ratio = f" (x{after / before:.3f})" if before else ""
+        lines.append(
+            f"  {verdict:<7} {name:<32} {before:,.12g} -> {after:,.12g}{ratio}"
+        )
+    lines.append(f"  {moved} exact metric(s) differ")
+    return "\n".join(lines)
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -123,18 +160,29 @@ def report(contract: dict, workload: str, runs: dict[str, list[dict]]) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="parent revision")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument(
+        "--workload", required=True, nargs="+", metavar="NAME",
+        help="one or more workload names, or 'all'",
+    )  # fmt: skip
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument(
+        "--exact", action="store_true",
+        help="first compare the repeatable counts of one --trace 1 pass per side",
+    )  # fmt: skip
     args = parser.parse_args(argv)
 
     contract = json.loads((REPO / "BENCHMARK.json").read_text())
     names = [entry["name"] for entry in contract["workloads"]]
-    if args.workload not in names:
-        parser.error(f"unknown workload {args.workload!r}; one of {names}")
+    workloads = names if args.workload == ["all"] else args.workload
+    unknown = [name for name in workloads if name not in names]
+    if unknown:
+        parser.error(f"unknown workload(s) {unknown}; 'all' or some of {names}")
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
 
-    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    runs: dict[str, dict[str, list[dict]]] = {
+        workload: {"parent": [], "change": []} for workload in workloads
+    }
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         sides = {
             "parent": pathlib.Path(tmp) / "parent",
@@ -142,23 +190,33 @@ def main(argv: list[str] | None = None) -> int:
         }
         export_revision(args.base, sides["parent"])
         export_working_tree(sides["change"])
+        if args.exact:
+            for workload in workloads:
+                traced = {
+                    side: contract_run(cwd, contract, workload, EXACT_SEED, trace=1)
+                    for side, cwd in sides.items()
+                }
+                print(exact_report(contract, workload, **traced), flush=True)
         for pair in range(1, args.pairs + 1):
             order = ("parent", "change") if pair % 2 else ("change", "parent")
-            for side in order:
-                runs[side].append(
-                    contract_run(sides[side], contract, args.workload, pair - 1)
+            for workload in workloads:
+                latest = runs[workload]
+                for side in order:
+                    latest[side].append(
+                        contract_run(sides[side], contract, workload, pair - 1)
+                    )
+                print(
+                    f"pair {pair}/{args.pairs} ({order[0]} first) {workload}: "
+                    + "  ".join(
+                        f"{name} {latest['parent'][-1][name]:.3f} -> "
+                        f"{latest['change'][-1][name]:.3f}"
+                        for name in latest["parent"][-1]
+                    ),
+                    file=sys.stderr,
+                    flush=True,
                 )
-            print(
-                f"pair {pair}/{args.pairs} ({order[0]} first): "
-                + "  ".join(
-                    f"{name} {runs['parent'][-1][name]:.3f} -> "
-                    f"{runs['change'][-1][name]:.3f}"
-                    for name in runs["parent"][-1]
-                ),
-                file=sys.stderr,
-                flush=True,
-            )
-    print(report(contract, args.workload, runs))
+    for workload in workloads:
+        print(report(contract, workload, runs[workload]))
     return 0
 
 

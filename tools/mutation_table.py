@@ -133,6 +133,23 @@ MUTANTS: list[Mutant] = [
            "or (echo and origin == iface.node)", "or False"),
     Mutant("relay_forward_after_gate", "memory/interface.py",
            _RELAY + _GATE, _GATE + _RELAY),
+    # The entry-consistency comparator: one mutant per protocol duty.
+    Mutant("inval_ack_skipped", "consistency/entry.py",
+           'self._send(node_id, owner, "ec.inval_ack", payload=lock)', "pass"),
+    Mutant("grant_without_data", "consistency/entry.py",
+           "data = {var: owner_store.read(var) for var in decl.protects}",
+           "data = {}"),
+    Mutant("exclusive_grant_keeps_copyset", "consistency/entry.py",
+           "            state.copyset = {requester}\n        else:",
+           "            state.copyset.add(requester)\n        else:"),
+    Mutant("home_not_migrated_on_write", "consistency/entry.py",
+           "        self._var_home[var] = node.id\n", "        pass\n"),
+    Mutant("fetch_replies_unserialized", "consistency/entry.py",
+           "self._home_free_at.get(node_id, 0.0)", "0.0"),
+    Mutant("stale_guess_never_forwarded", "consistency/entry.py",
+           "if state.owner != node_id:\n            # Wrong guess",
+           "if state.owner != node_id and self.owner_oracle:\n"
+           "            # Wrong guess"),
 ]
 
 
