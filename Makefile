@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test smoke goldens verify-goldens bench bench-full bench-json perf-smoke bench-selftest bench-pairs mutation-table profile examples figures all clean
+.PHONY: install test smoke goldens verify-goldens bench bench-full bench-selftest bench-pairs mutation-table profile examples figures all clean
 
 install:
 	$(PY) setup.py develop
@@ -31,19 +31,10 @@ goldens:
 	REPRO_REGEN_GOLDENS=1 PYTHONPATH=src $(PY) -m repro update-goldens
 
 bench:
-	$(PY) -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src $(PY) -m pytest benchmarks/ --benchmark-only
 
 bench-full:
-	REPRO_FULL=1 $(PY) -m pytest benchmarks/ --benchmark-only -s
-
-# Machine-readable perf snapshot (events/sec, messages/sec, quick sweep
-# wall-clock, speedup vs the seed baseline) -> BENCH_kernel.json.
-bench-json:
-	PYTHONPATH=src $(PY) benchmarks/test_perf_kernel.py
-
-# Fail if the quick Figure 8 sweep regressed >25% vs BENCH_kernel.json.
-perf-smoke:
-	PYTHONPATH=src $(PY) benchmarks/test_perf_kernel.py --smoke
+	REPRO_FULL=1 PYTHONPATH=src $(PY) -m pytest benchmarks/ --benchmark-only -s
 
 # Self-test of the layered benchmark (BENCHMARK.json's ruler): drives
 # the contract command with --trace 1 on every workload at quick sizes,

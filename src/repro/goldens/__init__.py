@@ -1,14 +1,14 @@
 """Continuous-verify guardrail for run artifacts.
 
-Every figure, chaos, failover, burst, and benchmark run in this
-repository produces a small set of machine-readable artifacts.  The
+Every figure, chaos, failover and burst run in this repository
+produces a small set of machine-readable artifacts.  The
 paper's claims live entirely in those artifacts, so refactoring the
 simulator aggressively is only safe if every one of them is
 tamper-evident and every run is crash-safe.  This package is that fence:
 
-* :mod:`repro.goldens.scrub` — canonical per-file SHA-256 hashing with a
-  volatile-field scrubber, so host fingerprints and wall-clock timings
-  never leak into a hash that is supposed to be portable;
+* :mod:`repro.goldens.scrub` — canonical per-file SHA-256 hashing, so
+  JSON key order and newline conventions never reach a hash that is
+  supposed to be portable;
 * :mod:`repro.goldens.writer` — a crash-safe artifact writer (atomic
   temp + fsync + rename per file, run-level ``MANIFEST.json`` written
   last, stale-partial detection and cleanup on the next run);
@@ -16,8 +16,7 @@ tamper-evident and every run is crash-safe.  This package is that fence:
   checks;
 * :mod:`repro.goldens.diff` — per-file and per-field drift reports;
 * :mod:`repro.goldens.surfaces` — the artifact-producing surfaces: one
-  per experiment in :mod:`repro.experiments.registry`, plus the
-  BENCH_kernel.json projection;
+  per experiment in :mod:`repro.experiments.registry`;
 * :mod:`repro.goldens.verify` — the ``repro verify-goldens`` /
   ``repro update-goldens`` flows and the CI drift gate's exit codes.
 
@@ -35,12 +34,7 @@ from repro.goldens.manifest import (
     load_manifest,
     manifest_errors,
 )
-from repro.goldens.scrub import (
-    BENCH_VOLATILE,
-    canonical_file_hash,
-    raw_file_hash,
-    scrub_payload,
-)
+from repro.goldens.scrub import canonical_file_hash, raw_file_hash
 from repro.goldens.verify import (
     EXIT_CLEAN,
     EXIT_DRIFT,
@@ -52,7 +46,6 @@ from repro.goldens.verify import (
 from repro.goldens.writer import RunWriter, atomic_write_json, atomic_write_text
 
 __all__ = [
-    "BENCH_VOLATILE",
     "EXIT_CLEAN",
     "EXIT_DRIFT",
     "EXIT_USAGE",
@@ -66,7 +59,6 @@ __all__ = [
     "load_manifest",
     "manifest_errors",
     "raw_file_hash",
-    "scrub_payload",
     "update_goldens",
     "verify_goldens",
 ]

@@ -12,9 +12,10 @@ import csv
 import io
 import json
 import pathlib
-from typing import Any, Sequence
+from typing import Any
 
-from repro.goldens.scrub import normalize_text, scrub_payload
+from repro.errors import ExperimentError
+from repro.goldens.scrub import canonical_payload
 
 #: Cap per-file reports so a wholesale rewrite stays readable.
 MAX_DIFFS_PER_FILE = 20
@@ -28,7 +29,7 @@ def _fmt(value: Any) -> str:
 def _diff_payload(
     path: str, golden: Any, current: Any, out: list[str]
 ) -> None:
-    """Recursively diff two scrubbed JSON payloads, field by field."""
+    """Recursively diff two JSON payloads, field by field."""
     if len(out) > MAX_DIFFS_PER_FILE:
         return
     if isinstance(golden, dict) and isinstance(current, dict):
@@ -110,36 +111,27 @@ def _diff_text(golden_text: str, current_text: str, out: list[str]) -> None:
 def diff_artifacts(
     golden_path: str | pathlib.Path,
     current_path: str | pathlib.Path,
-    volatile: Sequence[str] = (),
 ) -> list[str]:
     """Per-field differences between a golden artifact and a fresh one.
 
-    JSON files are compared as scrubbed payloads (volatile fields never
-    produce diffs); CSV files cell by cell with header-named columns;
-    anything else line by line.  Returns human-readable lines, capped at
-    :data:`MAX_DIFFS_PER_FILE` (with a trailing elision marker).
+    JSON files are compared as parsed payloads; CSV files cell by cell
+    with header-named columns; anything else line by line.  Returns
+    human-readable lines, capped at :data:`MAX_DIFFS_PER_FILE` (with a
+    trailing elision marker).
     """
     golden_path = pathlib.Path(golden_path)
-    current_path = pathlib.Path(current_path)
+    try:
+        golden = canonical_payload(golden_path)
+        current = canonical_payload(current_path)
+    except ExperimentError as exc:
+        return [str(exc)]
     out: list[str] = []
     if golden_path.suffix == ".json":
-        try:
-            golden = scrub_payload(
-                json.loads(golden_path.read_text()), volatile
-            )
-            current = scrub_payload(
-                json.loads(current_path.read_text()), volatile
-            )
-        except json.JSONDecodeError as exc:
-            return [f"unparseable JSON (truncated artifact?): {exc}"]
         _diff_payload("", golden, current, out)
+    elif golden_path.suffix == ".csv":
+        _diff_csv(golden, current, out)
     else:
-        golden_text = normalize_text(golden_path.read_text())
-        current_text = normalize_text(current_path.read_text())
-        if golden_path.suffix == ".csv":
-            _diff_csv(golden_text, current_text, out)
-        else:
-            _diff_text(golden_text, current_text, out)
+        _diff_text(golden, current, out)
     if len(out) > MAX_DIFFS_PER_FILE:
         extra = len(out) - MAX_DIFFS_PER_FILE
         out = out[:MAX_DIFFS_PER_FILE] + [f"... ({extra} more difference(s))"]

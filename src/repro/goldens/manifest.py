@@ -8,8 +8,8 @@ partial artifact set, because nothing downstream will accept it.
 
 Each file entry records two hashes:
 
-* ``sha256`` — the canonical, volatile-scrubbed hash used by the drift
-  gate (portable across hosts);
+* ``sha256`` — the canonical hash used by the drift gate (insensitive
+  to JSON key order and newline convention);
 * ``raw_sha256`` + ``bytes`` — the exact on-disk bytes, which catch
   truncation and single-byte tampering of a committed golden.
 """
@@ -38,14 +38,12 @@ class FileEntry:
     sha256: str
     raw_sha256: str
     bytes: int
-    volatile: tuple[str, ...] = ()
 
     def to_payload(self) -> dict[str, Any]:
         return {
             "sha256": self.sha256,
             "raw_sha256": self.raw_sha256,
             "bytes": self.bytes,
-            "volatile": list(self.volatile),
         }
 
 
@@ -71,29 +69,40 @@ class Manifest:
         return json.dumps(self.to_payload(), indent=2, sort_keys=True) + "\n"
 
 
-def parse_manifest(text: str) -> Manifest:
-    """Parse manifest JSON, raising :class:`ExperimentError` if malformed."""
+def _file_entry(name: str, entry: dict[str, Any]) -> FileEntry:
+    fields = set(FileEntry.__dataclass_fields__)
+    if set(entry) != fields:
+        # Names the keys: a manifest from an older writer carries fields
+        # this reader dropped, and ``make goldens`` is the way out.
+        raise ValueError(
+            f"{name}: unknown field(s) {sorted(set(entry) - fields)}, "
+            f"missing field(s) {sorted(fields - set(entry))} "
+            "(written by another version? `make goldens` rewrites it)"
+        )
+    return FileEntry(**entry)
+
+
+def parse_manifest(text: str | bytes) -> Manifest:
+    """Parse manifest JSON, raising :class:`ExperimentError` if malformed.
+
+    A file entry with a missing or an unknown field is malformed: the
+    gate never reads a manifest it only half understands.
+    """
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
         raise ExperimentError(f"manifest is not valid JSON: {exc}") from None
     try:
-        files = {
-            name: FileEntry(
-                sha256=entry["sha256"],
-                raw_sha256=entry["raw_sha256"],
-                bytes=int(entry["bytes"]),
-                volatile=tuple(entry.get("volatile", ())),
-            )
-            for name, entry in payload["files"].items()
-        }
         return Manifest(
             surface=payload["surface"],
-            files=files,
+            files={
+                name: _file_entry(name, entry)
+                for name, entry in payload["files"].items()
+            },
             schema=int(payload["schema"]),
         )
-    except (KeyError, TypeError) as exc:
-        raise ExperimentError(f"manifest is missing field: {exc}") from None
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ExperimentError(f"manifest is malformed: {exc}") from None
 
 
 def load_manifest(directory: str | pathlib.Path) -> Manifest:
@@ -108,7 +117,7 @@ def load_manifest(directory: str | pathlib.Path) -> Manifest:
             f"{directory}: no {MANIFEST_NAME} — not a completed run "
             "(interrupted runs never write a manifest)"
         )
-    return parse_manifest(path.read_text())
+    return parse_manifest(path.read_bytes())
 
 
 def manifest_errors(directory: str | pathlib.Path) -> list[str]:
@@ -143,7 +152,11 @@ def manifest_errors(directory: str | pathlib.Path) -> list[str]:
                 f"{entry.raw_sha256[:12]}... (content changed)"
             )
             continue
-        canonical = canonical_file_hash(path, entry.volatile)
+        try:
+            canonical = canonical_file_hash(path)
+        except ExperimentError as exc:
+            problems.append(str(exc))
+            continue
         if canonical != entry.sha256:
             problems.append(
                 f"{name}: canonical sha256 drifted from manifest "

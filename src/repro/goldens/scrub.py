@@ -1,19 +1,14 @@
-"""Canonical artifact hashing with a volatile-field scrubber.
+"""Canonical artifact hashing.
 
-Golden artifacts must hash identically on every host, every run.  Two
-things threaten that:
+Golden artifacts must hash identically on every host, every run.  Every
+golden is the output of a simulated-time-deterministic run, so the only
+threat left is **representation noise** — dict insertion order, trailing
+newlines, CRLF conversions.  The hash must see structure, not spelling.
 
-* **volatile fields** — host fingerprints, Python versions, wall-clock
-  seconds, and throughput figures derived from them.  They belong *in*
-  the artifact (a benchmark snapshot without its host is useless) but
-  must never reach the hash, or the goldens stop being portable;
-* **representation noise** — dict insertion order, trailing newlines,
-  CRLF conversions.  The hash must see structure, not spelling.
-
-JSON artifacts are therefore parsed, scrubbed of their declared volatile
-paths, and hashed through the same type-tagged canonical encoder that
-hashes machine state (:mod:`repro.sim.statehash`).
-CSV and plain-text artifacts are hashed over newline-normalized UTF-8.
+JSON artifacts are therefore parsed and hashed through the same
+type-tagged canonical encoder that hashes machine state
+(:mod:`repro.sim.statehash`).  CSV and plain-text artifacts are hashed
+over newline-normalized UTF-8.
 """
 
 from __future__ import annotations
@@ -21,58 +16,10 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
-from typing import Any, Sequence
+from typing import Any
 
 from repro.errors import ExperimentError
 from repro.sim.statehash import hash_payload
-
-#: Volatile paths for ``BENCH_kernel.json`` (schema 6): everything
-#: measured in wall-clock seconds (or derived from such a measurement)
-#: plus the host fingerprint.  What stays in the hash — the schema and
-#: the burst ablation counts — is the snapshot's portable semantic
-#: content.
-BENCH_VOLATILE: tuple[str, ...] = (
-    "python",
-    "cpu_count",
-    "host",
-    "kernel",
-    "sweeps",
-    "baseline",
-)
-
-
-def _match_prefix(path: tuple[str, ...], pattern: tuple[str, ...]) -> bool:
-    """True if ``pattern`` (with ``*`` wildcard segments) equals ``path``."""
-    if len(pattern) != len(path):
-        return False
-    return all(p in ("*", seg) for p, seg in zip(pattern, path))
-
-
-def scrub_payload(payload: Any, volatile: Sequence[str] = ()) -> Any:
-    """Drop every volatile dotted-path subtree from a parsed payload.
-
-    ``volatile`` entries are dotted key paths (``host``, ``sweeps``,
-    ``kernel.events_per_sec``); a ``*`` segment matches any key.  List
-    elements are transparent: ``burst_ablation.reduction`` scrubs the
-    ``reduction`` key of every row in a ``burst_ablation`` list.  The
-    input is never mutated.
-    """
-    patterns = [tuple(entry.split(".")) for entry in volatile]
-
-    def walk(obj: Any, path: tuple[str, ...]) -> Any:
-        if isinstance(obj, dict):
-            out = {}
-            for key, value in obj.items():
-                key_path = path + (str(key),)
-                if any(_match_prefix(key_path, pat) for pat in patterns):
-                    continue
-                out[key] = walk(value, key_path)
-            return out
-        if isinstance(obj, list):
-            return [walk(item, path) for item in obj]
-        return obj
-
-    return walk(payload, ())
 
 
 def normalize_text(text: str) -> str:
@@ -89,36 +36,34 @@ def raw_file_hash(path: str | pathlib.Path) -> str:
     return digest.hexdigest()
 
 
-def canonical_payload(
-    path: str | pathlib.Path, volatile: Sequence[str] = ()
-) -> Any:
+def canonical_payload(path: str | pathlib.Path) -> Any:
     """The drift-comparable content of an artifact file.
 
-    JSON files parse to their scrubbed payload; everything else (CSV,
-    plain text) to its newline-normalized text.
+    JSON files parse to their payload; everything else (CSV, plain
+    text) to its newline-normalized text.
     """
     target = pathlib.Path(path)
-    if target.suffix == ".json":
-        try:
-            payload = json.loads(target.read_text())
-        except json.JSONDecodeError as exc:
-            raise ExperimentError(
-                f"{target}: not valid JSON (truncated artifact?): {exc}"
-            ) from None
-        return scrub_payload(payload, volatile)
-    return normalize_text(target.read_text())
+    is_json = target.suffix == ".json"
+    try:
+        text = target.read_text()
+        if is_json:
+            return json.loads(text)
+    except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
+        kind = "JSON" if is_json else "UTF-8 text"
+        raise ExperimentError(
+            f"{target}: not valid {kind} (truncated artifact?): {exc}"
+        ) from None
+    return normalize_text(text)
 
 
-def canonical_file_hash(
-    path: str | pathlib.Path, volatile: Sequence[str] = ()
-) -> str:
-    """Canonical SHA-256 of an artifact, volatile fields scrubbed.
+def canonical_file_hash(path: str | pathlib.Path) -> str:
+    """Canonical SHA-256 of an artifact.
 
     This is the hash recorded in manifests and compared by the drift
-    gate: equal iff the artifacts' non-volatile content is structurally
-    identical, regardless of host, key order, or newline convention.
+    gate: equal iff the artifacts' content is structurally identical,
+    regardless of key order or newline convention.
     """
-    content = canonical_payload(path, volatile)
+    content = canonical_payload(path)
     if isinstance(content, str):
         return hashlib.sha256(content.encode("utf-8")).hexdigest()
     return hash_payload(content)

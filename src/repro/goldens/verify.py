@@ -18,7 +18,6 @@ gate hard-fails on any drift.
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import tempfile
@@ -103,21 +102,18 @@ def _compare_surface(
         if name not in golden.files:
             lines.append(f"{name}: newly generated, not in goldens")
             continue
-        entry = golden.files[name]
         golden_path = golden_dir / name
         if not golden_path.is_file():
             continue  # integrity lines already flagged the absence
         try:
-            disk_hash = canonical_file_hash(golden_path, entry.volatile)
+            disk_hash = canonical_file_hash(golden_path)
         except ReproError as exc:
             lines.append(f"{name}: unreadable golden ({exc})")
             continue
         if disk_hash == fresh.files[name].sha256:
             continue
         lines.append(f"{name}: canonical sha256 drifted")
-        for field_line in diff_artifacts(
-            golden_path, fresh_dir / name, entry.volatile
-        ):
+        for field_line in diff_artifacts(golden_path, fresh_dir / name):
             lines.append(f"  {field_line}")
     return lines
 
@@ -236,15 +232,7 @@ def update_goldens(
             # first), copy artifacts atomically, manifest last.
             install = RunWriter(golden_dir, surface.name, out=out)
             for name in sorted(fresh.files):
-                entry = fresh.files[name]
-                if name.endswith(".json"):
-                    install.write_json(
-                        name,
-                        json.loads((fresh_dir / name).read_text()),
-                        volatile=entry.volatile,
-                    )
-                else:
-                    install.write_text(name, (fresh_dir / name).read_text())
+                install.write_text(name, (fresh_dir / name).read_text())
             install.finalize()
     out(
         f"update-goldens: {changed}/{len(surfaces)} surface(s) rewritten "

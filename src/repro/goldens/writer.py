@@ -26,7 +26,7 @@ import json
 import os
 import pathlib
 import tempfile
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 from repro.errors import ExperimentError
 from repro.goldens.manifest import MANIFEST_NAME, FileEntry, Manifest
@@ -140,13 +140,12 @@ class RunWriter:
                     )
             path.unlink()
 
-    def _record(self, name: str, volatile: Sequence[str]) -> pathlib.Path:
+    def _record(self, name: str) -> pathlib.Path:
         path = self.directory / name
         self.entries[name] = FileEntry(
-            sha256=canonical_file_hash(path, volatile),
+            sha256=canonical_file_hash(path),
             raw_sha256=raw_file_hash(path),
             bytes=path.stat().st_size,
-            volatile=tuple(volatile),
         )
         return path
 
@@ -164,19 +163,13 @@ class RunWriter:
         """Atomically write a plain-text artifact."""
         self._check_name(name)
         atomic_write_text(self.directory / name, text)
-        return self._record(name, ())
+        return self._record(name)
 
-    def write_json(
-        self, name: str, payload: Any, volatile: Sequence[str] = ()
-    ) -> pathlib.Path:
-        """Atomically write a JSON artifact.
-
-        ``volatile`` names dotted field paths excluded from the
-        manifest's canonical hash (but kept in the file itself).
-        """
+    def write_json(self, name: str, payload: Any) -> pathlib.Path:
+        """Atomically write a JSON artifact."""
         self._check_name(name)
         atomic_write_json(self.directory / name, payload)
-        return self._record(name, volatile)
+        return self._record(name)
 
     def write_csv(self, name: str, rows: Iterable[Any]) -> pathlib.Path:
         """Atomically write dataclass/dict rows as a CSV artifact."""
@@ -184,7 +177,7 @@ class RunWriter:
 
         self._check_name(name)
         atomic_write_text(self.directory / name, to_csv(rows))
-        return self._record(name, ())
+        return self._record(name)
 
     def finalize(self) -> Manifest:
         """Write ``MANIFEST.json`` — the run is only now valid."""

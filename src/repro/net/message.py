@@ -77,7 +77,7 @@ def fire_train(train: tuple) -> None:
     receiver sees exactly the per-message deliveries it would have seen
     unbatched, in the same (sequence) order — only the number of heap
     events differs.  Scheduled by :meth:`Network.send_fanout_train` as a
-    ``(arrival, priority, seq, fire_train, train)`` heap entry.
+    ``(arrival, seq, fire_train, train)`` heap entry.
     """
     handler = train[0]
     for msg in train[1]:

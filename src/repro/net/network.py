@@ -12,7 +12,7 @@ this property, exactly as Sesame builds it on ordered hardware links.
 
 The send path is performance-critical (every protocol message crosses
 it), so the per-pair hop latency is memoized, delivery is scheduled by
-pushing a ``(arrival, priority, seq, handler, msg)`` entry directly
+pushing a ``(arrival, seq, handler, msg)`` entry directly
 onto the simulator's event heap (no closure or handle allocation per
 send), and the tracer check is a cached boolean rather than a property
 call.  A multicast (:meth:`Network.send_fanout`) goes further: its
@@ -295,11 +295,11 @@ class Network:
         queue = self._queue
         seq = queue._next_seq
         queue._next_seq = seq + copies
-        heappush(queue._heap, (arrival, 0, seq, handler, msg))
+        heappush(queue._heap, (arrival, seq, handler, msg))
         if copies > 1:
             heap = queue._heap
             for offset in range(1, copies):
-                heappush(heap, (arrival, 0, seq + offset, handler, msg))
+                heappush(heap, (arrival, seq + offset, handler, msg))
         queue._live += copies
         if sim.trace_enabled:
             sim.tracer.record(now, "net.send", msg=str(msg), arrival=arrival)
@@ -358,9 +358,9 @@ class Network:
         whose clamped arrivals coincide share ONE heap entry (a
         *cohort*), delivered by one loop in target order.  The fan-out
         still consumes one sequence number per recipient and keys its
-        entries inside that block: the block is contiguous and every
-        event is scheduled at priority 0, so no foreign event can sort
-        between two equal-time recipients and the per-message order is
+        entries inside that block: the block is contiguous and heap
+        keys are ``(time, seq)``, so no foreign event can sort between
+        two equal-time recipients and the per-message order is
         reproduced exactly (docs/PROTOCOL.md §8, "Cohort delivery").
 
         Loss-model, fault-injection, and tracing runs take the plain
@@ -425,7 +425,7 @@ class Network:
         fire = plan.fire
         for offset, (arrival, receivers) in enumerate(cohorts):
             record = (receivers, payload, src, kind, size_bytes, now)
-            heappush(heap, (arrival, 0, seq + offset, fire, record))
+            heappush(heap, (arrival, seq + offset, fire, record))
         queue._live += len(cohorts)
 
     def send_fanout_train(
@@ -518,14 +518,13 @@ class Network:
                     pushed += 1
                     if len(segment) == 1:
                         heappush(
-                            heap, (segment_arrival, 0, seq, handler, segment[0])
+                            heap, (segment_arrival, seq, handler, segment[0])
                         )
                     else:
                         heappush(
                             heap,
                             (
                                 segment_arrival,
-                                0,
                                 seq,
                                 fire_train,
                                 (handler, tuple(segment)),
@@ -537,11 +536,11 @@ class Network:
             if segment:
                 pushed += 1
                 if len(segment) == 1:
-                    heappush(heap, (segment_arrival, 0, seq, handler, segment[0]))
+                    heappush(heap, (segment_arrival, seq, handler, segment[0]))
                 else:
                     heappush(
                         heap,
-                        (segment_arrival, 0, seq, fire_train, (handler, tuple(segment))),
+                        (segment_arrival, seq, fire_train, (handler, tuple(segment))),
                     )
                 seq += 1
             last_arrival[key] = previous

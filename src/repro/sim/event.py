@@ -1,11 +1,11 @@
 """Events and the time-ordered event queue.
 
-Events are ordered by ``(time, priority, sequence)``.  The monotonically
+Events are ordered by ``(time, sequence)``.  The monotonically
 increasing sequence number makes ordering total and deterministic: two
 events scheduled for the same instant fire in the order they were
 scheduled, regardless of heap internals.
 
-Performance note: the heap stores plain ``(time, priority, seq, event)``
+Performance note: the heap stores plain ``(time, seq, event)``
 tuples rather than the :class:`Event` handles themselves.  Tuple
 comparison happens entirely in C, which roughly halves the cost of every
 ``heappush``/``heappop`` relative to comparing Python objects.  The
@@ -20,36 +20,26 @@ from typing import Any, Callable
 
 from repro.errors import SimulationError
 
-#: Default priority for ordinary events.
-PRIORITY_NORMAL = 0
-#: Priority for urgent events (fire before normal events at the same time).
-PRIORITY_URGENT = -1
-#: Priority for lazy events (fire after normal events at the same time).
-PRIORITY_LAZY = 1
-
 
 class Event:
     """A single scheduled callback.
 
     Attributes:
         time: Simulated time at which the event fires.
-        priority: Tie-break rank for events at the same time (lower first).
-        seq: Scheduling order, the final tie-break.
+        seq: Scheduling order, the tie-break for events at the same time.
         fn: Callback invoked when the event fires.
         cancelled: Set by :meth:`cancel`; cancelled events are skipped.
     """
 
-    __slots__ = ("time", "priority", "seq", "fn", "cancelled", "_queue")
+    __slots__ = ("time", "seq", "fn", "cancelled", "_queue")
 
     def __init__(
         self,
         time: float,
-        priority: int,
         seq: int,
         fn: Callable[[], Any],
     ) -> None:
         self.time = time
-        self.priority = priority
         self.seq = seq
         self.fn = fn
         self.cancelled = False
@@ -58,7 +48,7 @@ class Event:
 
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
-        return f"Event(time={self.time}, priority={self.priority}, seq={self.seq}, {state})"
+        return f"Event(time={self.time}, seq={self.seq}, {state})"
 
     def cancel(self) -> None:
         """Mark this event so the queue skips it when popped.
@@ -83,10 +73,10 @@ class EventQueue:
     __slots__ = ("_heap", "_next_seq", "_live")
 
     def __init__(self) -> None:
-        #: Heap entries are ``(time, priority, seq, target)`` tuples,
-        #: optionally extended with a single call argument:
-        #: ``(time, priority, seq, fn, arg)``.  ``target`` is either a
-        #: cancellable :class:`Event` or a bare callable.
+        #: Heap entries are ``(time, seq, target)`` tuples, optionally
+        #: extended with a single call argument: ``(time, seq, fn, arg)``.
+        #: ``target`` is either a cancellable :class:`Event` or a bare
+        #: callable.
         self._heap: list[tuple] = []
         self._next_seq = 0
         self._live = 0
@@ -97,29 +87,19 @@ class EventQueue:
     def __bool__(self) -> bool:
         return self._live > 0
 
-    def push(
-        self,
-        time: float,
-        fn: Callable[[], Any],
-        priority: int = PRIORITY_NORMAL,
-    ) -> Event:
+    def push(self, time: float, fn: Callable[[], Any]) -> Event:
         """Schedule ``fn`` at ``time`` and return the cancellable event."""
         if time != time:  # NaN guard
             raise SimulationError("event time is NaN")
         seq = self._next_seq
         self._next_seq = seq + 1
-        event = Event(time, priority, seq, fn)
+        event = Event(time, seq, fn)
         event._queue = self
-        heappush(self._heap, (time, priority, seq, event))
+        heappush(self._heap, (time, seq, event))
         self._live += 1
         return event
 
-    def push_fn(
-        self,
-        time: float,
-        fn: Callable[[], Any],
-        priority: int = PRIORITY_NORMAL,
-    ) -> None:
+    def push_fn(self, time: float, fn: Callable[[], Any]) -> None:
         """Schedule ``fn`` at ``time`` without a cancellable handle.
 
         The hot-path variant of :meth:`push`: the bare callable goes
@@ -131,15 +111,11 @@ class EventQueue:
             raise SimulationError("event time is NaN")
         seq = self._next_seq
         self._next_seq = seq + 1
-        heappush(self._heap, (time, priority, seq, fn))
+        heappush(self._heap, (time, seq, fn))
         self._live += 1
 
     def push_call(
-        self,
-        time: float,
-        fn: Callable[[Any], Any],
-        arg: Any,
-        priority: int = PRIORITY_NORMAL,
+        self, time: float, fn: Callable[[Any], Any], arg: Any
     ) -> None:
         """Schedule ``fn(arg)`` at ``time`` without a cancellable handle.
 
@@ -151,7 +127,7 @@ class EventQueue:
             raise SimulationError("event time is NaN")
         seq = self._next_seq
         self._next_seq = seq + 1
-        heappush(self._heap, (time, priority, seq, fn, arg))
+        heappush(self._heap, (time, seq, fn, arg))
         self._live += 1
 
     def pop(self) -> Event:
@@ -164,7 +140,7 @@ class EventQueue:
         heap = self._heap
         while heap:
             entry = heappop(heap)
-            target = entry[3]
+            target = entry[2]
             if target.__class__ is Event:
                 if target.cancelled:
                     continue
@@ -172,17 +148,17 @@ class EventQueue:
                 self._live -= 1
                 return target
             self._live -= 1
-            if len(entry) == 5:
-                arg = entry[4]
-                return Event(entry[0], entry[1], entry[2], lambda: target(arg))
-            return Event(entry[0], entry[1], entry[2], target)
+            if len(entry) == 4:
+                arg = entry[3]
+                return Event(entry[0], entry[1], lambda: target(arg))
+            return Event(entry[0], entry[1], target)
         raise SimulationError("pop from empty event queue")
 
     def peek_time(self) -> float:
         """Time of the earliest non-cancelled event without removing it."""
         heap = self._heap
         while heap:
-            head = heap[0][3]
+            head = heap[0][2]
             if head.__class__ is Event and head.cancelled:
                 heappop(heap)
                 continue

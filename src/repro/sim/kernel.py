@@ -12,7 +12,7 @@ import heapq
 from typing import Any, Callable, Generator, Iterable
 
 from repro.errors import SimulationError
-from repro.sim.event import Event, EventQueue, PRIORITY_NORMAL
+from repro.sim.event import Event, EventQueue
 from repro.sim.rng import RngStreams
 from repro.sim.trace import NullTracer, Tracer
 
@@ -57,55 +57,35 @@ class Simulator:
         """Number of live (non-cancelled) events in the queue."""
         return len(self._queue)
 
-    def schedule(
-        self,
-        delay: float,
-        fn: Callable[[], Any],
-        priority: int = PRIORITY_NORMAL,
-    ) -> Event:
+    def schedule(self, delay: float, fn: Callable[[], Any]) -> Event:
         """Schedule ``fn`` to run ``delay`` seconds from now."""
         _require_nonnegative_delay(delay)
-        return self._queue.push(self._now + delay, fn, priority)
+        return self._queue.push(self._now + delay, fn)
 
-    def at(
-        self,
-        time: float,
-        fn: Callable[[], Any],
-        priority: int = PRIORITY_NORMAL,
-    ) -> Event:
+    def at(self, time: float, fn: Callable[[], Any]) -> Event:
         """Schedule ``fn`` at absolute simulated ``time``."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule in the past: time={time} < now={self._now}"
             )
-        return self._queue.push(time, fn, priority)
+        return self._queue.push(time, fn)
 
-    def schedule_fn(
-        self,
-        delay: float,
-        fn: Callable[[], Any],
-        priority: int = PRIORITY_NORMAL,
-    ) -> None:
+    def schedule_fn(self, delay: float, fn: Callable[[], Any]) -> None:
         """Schedule ``fn`` after ``delay`` with no cancellable handle.
 
         The hot-path variant of :meth:`schedule` for fire-and-forget
         events; see :meth:`EventQueue.push_fn`.
         """
         _require_nonnegative_delay(delay)
-        self._queue.push_fn(self._now + delay, fn, priority)
+        self._queue.push_fn(self._now + delay, fn)
 
-    def at_fn(
-        self,
-        time: float,
-        fn: Callable[[], Any],
-        priority: int = PRIORITY_NORMAL,
-    ) -> None:
+    def at_fn(self, time: float, fn: Callable[[], Any]) -> None:
         """Schedule ``fn`` at absolute ``time`` with no cancellable handle."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule in the past: time={time} < now={self._now}"
             )
-        self._queue.push_fn(time, fn, priority)
+        self._queue.push_fn(time, fn)
 
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event (idempotent)."""
@@ -182,7 +162,7 @@ class Simulator:
                 # loop: no bound checks at all.
                 while heap:
                     entry = heap[0]
-                    target = entry[3]
+                    target = entry[2]
                     is_event = target.__class__ is event_cls
                     if is_event and target.cancelled:
                         heappop(heap)
@@ -198,8 +178,8 @@ class Simulator:
                     if is_event:
                         target._queue = None
                         target.fn()
-                    elif len(entry) == 5:
-                        target(entry[4])
+                    elif len(entry) == 4:
+                        target(entry[3])
                     else:
                         target()
                 return self._now
@@ -209,7 +189,7 @@ class Simulator:
             event_limit = max_events if max_events is not None else float("inf")
             while heap:
                 entry = heap[0]
-                target = entry[3]
+                target = entry[2]
                 is_event = target.__class__ is event_cls
                 if is_event and target.cancelled:
                     heappop(heap)
@@ -228,8 +208,8 @@ class Simulator:
                 if is_event:
                     target._queue = None
                     target.fn()
-                elif len(entry) == 5:
-                    target(entry[4])
+                elif len(entry) == 4:
+                    target(entry[3])
                 else:
                     target()
                 fired += 1

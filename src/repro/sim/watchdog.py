@@ -94,7 +94,7 @@ class Watchdog:
         if len(heap) > _SCAN_LIMIT:
             return True
         for entry in heap:
-            target = entry[3]
+            target = entry[2]
             if target.__class__ is Event and target.cancelled:
                 continue
             return True

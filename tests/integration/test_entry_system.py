@@ -265,14 +265,13 @@ class TestDemandFetch:
         machine.spawn(reader(machine.nodes[3]), name="r")
         heap = machine.sim._queue._heap
         machine.sim.step()  # the reader sends its request
-        assert [entry[4].kind for entry in heap] == ["ec.fetch_req"]
+        assert [entry[3].kind for entry in heap] == ["ec.fetch_req"]
         machine.sim.step()  # the home serves it
         (entry,) = heap
         size = machine.params.packet_bytes + 8
         service = machine.params.memory_time(size) + system.fetch_service_time
         assert entry[0] == machine.sim.now + service == system._home_free_at[0]
-        assert entry[1] == 0
-        assert not isinstance(entry[3], Event)
+        assert not isinstance(entry[2], Event)
         machine.run()
         assert machine.nodes[3].store.read("plain") == 0
         assert system._fetch_waits == {}
@@ -453,7 +452,7 @@ def popped_schedule_sha256(monkeypatch, sim, run):
     def recording_pop(target):
         entry = real_pop(target)
         if target is heap:
-            digest.update(struct.pack("<dq", entry[0], entry[2]))
+            digest.update(struct.pack("<dq", entry[0], entry[1]))
         return entry
 
     with monkeypatch.context() as patch:

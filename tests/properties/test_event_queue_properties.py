@@ -9,22 +9,20 @@ from repro.sim.event import EventQueue
 from repro.sim.kernel import Simulator
 
 times = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
-priorities = st.integers(min_value=-2, max_value=2)
 
 
 class TestEventQueueProperties:
-    @given(st.lists(st.tuples(times, priorities), max_size=200))
+    @given(st.lists(times, max_size=200))
     def test_pop_order_is_total_and_stable(self, entries):
-        """Events pop sorted by (time, priority), with insertion order
-        breaking remaining ties."""
+        """Events pop sorted by time, with insertion order breaking
+        ties."""
         queue = EventQueue()
-        popped: list[tuple[float, int, int]] = []
-        for i, (time, priority) in enumerate(entries):
-            queue.push(time, lambda: None, priority)
+        for time in entries:
+            queue.push(time, lambda: None)
         order = []
         while queue:
             event = queue.pop()
-            order.append((event.time, event.priority, event.seq))
+            order.append((event.time, event.seq))
         assert order == sorted(order)
         assert len(order) == len(entries)
 

@@ -147,9 +147,7 @@ class TestExitCodes:
 
 class TestGoldensFollowTheRegistry:
     def test_every_experiment_is_a_surface(self):
-        assert set(surface_names()) == {exp.name for exp in EXPERIMENTS} | {
-            "bench_kernel"
-        }
+        assert set(surface_names()) == {exp.name for exp in EXPERIMENTS}
 
     def test_update_refuses_a_run_whose_expectation_fails(
         self, monkeypatch, tmp_path

@@ -7,6 +7,7 @@ from repro.goldens.manifest import (
     MANIFEST_NAME,
     load_manifest,
     manifest_errors,
+    parse_manifest,
 )
 from repro.goldens.writer import TMP_PREFIX, RunWriter, atomic_write_text
 
@@ -77,6 +78,34 @@ class TestRunWriter:
         problems = manifest_errors(tmp_path / "run")
         assert any("raw sha256" in p for p in problems)
 
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            # A field this reader does not know: never half-understood.
+            b'{"schema": 1, "surface": "t", "files": {"a.txt": {"sha256": "0",'
+            b' "raw_sha256": "0", "bytes": 4, "unknown": []}}}',
+            b'{"schema": 1, "surface": "t", "files": ["a.txt"]}',
+            b'{"schema": 1, "surface": "t", "files": {"a.txt": {"bytes": 4}}}',
+            b'{"schema": 1, "surf',
+            b"\xff\xfe not utf-8",
+        ],
+    )
+    def test_malformed_manifest_is_a_reported_problem(self, tmp_path, manifest):
+        run = RunWriter(tmp_path / "run", "t")
+        run.write_text("a.txt", "abc\n")
+        run.finalize()
+        (tmp_path / "run" / MANIFEST_NAME).write_bytes(manifest)
+        (problem,) = manifest_errors(tmp_path / "run")
+        assert "manifest is" in problem
+
+    def test_unknown_manifest_field_is_named(self):
+        stale = (
+            b'{"schema": 1, "surface": "t", "files": {"a.txt": {"sha256": "0",'
+            b' "raw_sha256": "0", "bytes": 4, "retired": []}}}'
+        )
+        with pytest.raises(ExperimentError, match=r"a\.txt.*'retired'.*make goldens"):
+            parse_manifest(stale)
+
     def test_stray_file_detected(self, tmp_path):
         run = RunWriter(tmp_path / "run", "t")
         run.write_text("a.txt", "x\n")
@@ -140,24 +169,6 @@ class TestRunWriter:
             run.write_text("late.txt", "x")
         with pytest.raises(ExperimentError, match="twice"):
             run.finalize()
-
-    def test_volatile_spec_recorded_in_manifest(self, tmp_path):
-        run = RunWriter(tmp_path / "run", "t")
-        run.write_json("a.json", {"host": "h", "rows": [1]}, volatile=("host",))
-        run.finalize()
-        manifest = load_manifest(tmp_path / "run")
-        assert manifest.files["a.json"].volatile == ("host",)
-        # Canonical hash must ignore the volatile field: rewrite with a
-        # different host and the recorded hash still matches.
-        run2 = RunWriter(tmp_path / "run2", "t")
-        run2.write_json("a.json", {"host": "other", "rows": [1]}, volatile=("host",))
-        run2.finalize()
-        manifest2 = load_manifest(tmp_path / "run2")
-        assert manifest.files["a.json"].sha256 == manifest2.files["a.json"].sha256
-        assert (
-            manifest.files["a.json"].raw_sha256
-            != manifest2.files["a.json"].raw_sha256
-        )
 
     def test_empty_directory_is_invalid(self, tmp_path):
         (tmp_path / "run").mkdir()

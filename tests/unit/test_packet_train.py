@@ -196,9 +196,9 @@ class TestCohorts:
     def cohort_members(net):
         """{arrival: [dst, ...]} of the generic cohort entries in the heap."""
         return {
-            entry[0]: [dst for dst, _ in entry[4][0]]
+            entry[0]: [dst for dst, _ in entry[3][0]]
             for entry in net._queue._heap
-            if entry[3] is fire_cohort
+            if entry[2] is fire_cohort
         }
 
     def test_equal_hop_siblings_share_one_heap_entry(self):
@@ -215,15 +215,14 @@ class TestCohorts:
     def test_entries_are_keyed_inside_the_fanouts_own_seq_block(self):
         """What makes cohort order equal per-message order: the fan-out
         still owns one seq per recipient, its entries sit inside that
-        block at priority 0, and a later event sorts after all of them."""
+        block, and a later event sorts after all of them."""
         sim, net = make_net()
         record_deliveries(sim, net, range(9))
         before = net._queue._next_seq
         net.send_fanout(0, self.TARGETS, "k", "p", 16)
         assert net._queue._next_seq == before + len(self.TARGETS)
         for entry in net._queue._heap:
-            assert entry[1] == 0
-            assert before <= entry[2] < before + len(self.TARGETS)
+            assert before <= entry[1] < before + len(self.TARGETS)
 
     def test_inflight_message_clamps_exactly_that_recipient(self):
         sim, net = make_net()

@@ -5,12 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.event import (
-    EventQueue,
-    PRIORITY_LAZY,
-    PRIORITY_NORMAL,
-    PRIORITY_URGENT,
-)
+from repro.sim.event import EventQueue
 from repro.sim.kernel import Simulator
 
 
@@ -33,16 +28,6 @@ class TestEventQueue:
         while queue:
             queue.pop().fn()
         assert fired == list(range(10))
-
-    def test_priority_breaks_time_ties(self):
-        queue = EventQueue()
-        fired: list[str] = []
-        queue.push(1.0, lambda: fired.append("normal"), PRIORITY_NORMAL)
-        queue.push(1.0, lambda: fired.append("urgent"), PRIORITY_URGENT)
-        queue.push(1.0, lambda: fired.append("lazy"), PRIORITY_LAZY)
-        while queue:
-            queue.pop().fn()
-        assert fired == ["urgent", "normal", "lazy"]
 
     def test_cancelled_events_are_skipped(self):
         queue = EventQueue()
