@@ -60,6 +60,8 @@ mutation-table:
 
 # cProfile the quick Figure 2 + Figure 8 sweeps and print the top 20
 # hot spots by cumulative time (see docs/REPRODUCING.md, Performance).
+# Under a profiler the sweeps run serially in this process, so the
+# profile sees the simulations, not a pool waiting for its workers.
 profile:
 	PYTHONPATH=src $(PY) -c "\
 	import cProfile, pstats; \

@@ -9,7 +9,7 @@ and the goldens gate (``verify-goldens`` / ``update-goldens``).
 Exit codes are uniform across commands: 0 = clean, 1 = a check failed
 (expectation miss, chaos stall/invariant, golden drift), 2 = usage
 error (unknown scenario/system/surface/experiment, missing
-kill-switch).
+kill-switch, a non-integer ``REPRO_JOBS``).
 
 Every experiment command prints the same rows/series the paper's figure
 reports, followed by the qualitative expectation checklist.
@@ -22,9 +22,10 @@ import sys
 from typing import Any, Mapping, Sequence
 
 from repro.consistency.base import system_names
-from repro.errors import FaultError
+from repro.errors import ExperimentError, FaultError
 from repro.experiments.common import JOBS, Experiment, name_tuple
 from repro.experiments.registry import BY_NAME, EXPERIMENTS, PAPER_ARTEFACTS
+from repro.experiments.runner import default_jobs
 
 
 def _add_experiment_parser(sub: Any, exp: Experiment) -> None:
@@ -222,6 +223,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        default_jobs()
+    except ExperimentError as exc:  # a bad REPRO_JOBS is a usage error
+        print(f"repro: {exc}", file=sys.stderr)
+        return 2
     return args.fn(args)
 
 

@@ -86,7 +86,9 @@ def run_threshold_sweep(
         for think in think_times
         for threshold in thresholds
     ]
-    return SweepExecutor(jobs).map(_threshold_point, points)
+    return SweepExecutor(jobs).map(
+        _threshold_point, points, cost=lambda point: point[2]  # n_nodes
+    )
 
 
 def render_threshold(rows: list[ThresholdRow]) -> str:
@@ -161,7 +163,9 @@ def run_lock_protocol_shootout(
         (system, n_nodes, increments_per_node, think_time, params)
         for system in systems
     ]
-    return SweepExecutor(jobs).map(_protocol_point, points)
+    return SweepExecutor(jobs).map(
+        _protocol_point, points, cost=lambda point: point[1]  # n_nodes
+    )
 
 
 def _primitive_point(point: tuple[str, int, int, float, MachineParams]) -> ShootoutRow:
@@ -200,7 +204,9 @@ def run_lock_primitive_shootout(
         (protocol, n_nodes, increments_per_node, think_time, params)
         for protocol in PROTOCOLS
     ]
-    return SweepExecutor(jobs).map(_primitive_point, points)
+    return SweepExecutor(jobs).map(
+        _primitive_point, points, cost=lambda point: point[1]  # n_nodes
+    )
 
 
 def render_shootout(rows: list[ShootoutRow]) -> str:

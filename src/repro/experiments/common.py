@@ -84,7 +84,7 @@ JOBS = Flag(
     "--jobs",
     "jobs",
     help="worker processes for sweep points (default: $REPRO_JOBS, else "
-    "serial); results are identical at any job count",
+    "every usable CPU; 1 = serial); results are identical at any job count",
 )
 SIZES = Flag("--sizes", "sizes", int_tuple, "comma-separated sweep sizes")
 

@@ -44,33 +44,15 @@ class Figure2Row:
     entry: float
 
 
-def _figure2_point(
-    point: tuple[int, int, float, float, MachineParams],
-) -> Figure2Row:
-    """One network size's three series (module-level: picklable)."""
-    n_nodes, total_tasks, task_time, produce_ratio, params = point
-    base = dict(
-        n_nodes=n_nodes,
-        total_tasks=total_tasks,
-        task_time=task_time,
-        produce_ratio=produce_ratio,
-    )
-    ideal = run_task_queue(
-        TaskQueueConfig(system="gwc", params=params.zero_delay(), **base)
-    )
-    gwc = run_task_queue(TaskQueueConfig(system="gwc", params=params, **base))
-    entry = run_task_queue(TaskQueueConfig(system="entry", params=params, **base))
-    for result in (ideal, gwc, entry):
-        if not result.extra["all_executed"]:
-            raise AssertionError(
-                f"{result.system} at n={n_nodes}: not all tasks executed"
-            )
-    return Figure2Row(
-        n_nodes=n_nodes,
-        max_speedup=ideal.speedup,
-        gwc=gwc.speedup,
-        entry=entry.speedup,
-    )
+def _figure2_series(config: TaskQueueConfig) -> float:
+    """One series at one network size: its speedup (module-level:
+    picklable)."""
+    result = run_task_queue(config)
+    if not result.extra["all_executed"]:
+        raise AssertionError(
+            f"{result.system} at n={config.n_nodes}: not all tasks executed"
+        )
+    return result.speedup
 
 
 def run_figure2(
@@ -87,19 +69,34 @@ def run_figure2(
     produced by running the same GWC workload with a zero-delay
     parameter set, exactly as the paper defines it.
 
-    Each network size is an independent simulation point; ``jobs``
-    (default: the ``REPRO_JOBS`` env var) fans them across worker
-    processes without changing any result.
+    Every (network size, series) pair is an independent simulation and
+    one task of a :class:`SweepExecutor`; ``jobs`` (default:
+    ``REPRO_JOBS``, else every usable CPU) fans them across worker
+    processes, largest network first, without changing any result.
     """
     scale = scale_preset(QUICK, FULL)
     sizes = sizes if sizes is not None else scale["sizes"]
     total_tasks = total_tasks if total_tasks is not None else scale["total_tasks"]
-    executor = SweepExecutor(jobs)
-    points = [
-        (n_nodes, total_tasks, task_time, produce_ratio, params)
-        for n_nodes in sizes
+    configs = []
+    for n_nodes in sizes:
+        base = dict(
+            n_nodes=n_nodes,
+            total_tasks=total_tasks,
+            task_time=task_time,
+            produce_ratio=produce_ratio,
+        )
+        configs += [
+            TaskQueueConfig(system="gwc", params=params.zero_delay(), **base),
+            TaskQueueConfig(system="gwc", params=params, **base),
+            TaskQueueConfig(system="entry", params=params, **base),
+        ]
+    speedups = SweepExecutor(jobs).map(
+        _figure2_series, configs, cost=lambda config: config.n_nodes
+    )
+    return [
+        Figure2Row(n_nodes, *speedups[3 * i : 3 * i + 3])
+        for i, n_nodes in enumerate(sizes)
     ]
-    return executor.map(_figure2_point, points)
 
 
 def expectations(rows: list[Figure2Row]) -> list[PaperExpectation]:

@@ -49,48 +49,15 @@ class Figure8Row:
     rollbacks: int
 
 
-def _figure8_point(
-    point: tuple[int, int, float, float, int, int, MachineParams],
-) -> Figure8Row:
-    """One network size's four series (module-level: picklable)."""
-    (
-        n_nodes,
-        data_size,
-        local_time,
-        mutex_ratio,
-        item_bytes,
-        block_bytes,
-        params,
-    ) = point
-    base = dict(
-        n_nodes=n_nodes,
-        data_size=data_size,
-        local_time=local_time,
-        mutex_ratio=mutex_ratio,
-        item_bytes=item_bytes,
-        block_bytes=block_bytes,
-    )
-    ideal = run_pipeline(
-        PipelineConfig(system="gwc", params=params.zero_delay(), **base)
-    )
-    optimistic = run_pipeline(
-        PipelineConfig(system="gwc_optimistic", params=params, **base)
-    )
-    gwc = run_pipeline(PipelineConfig(system="gwc", params=params, **base))
-    entry = run_pipeline(PipelineConfig(system="entry", params=params, **base))
-    for result in (ideal, optimistic, gwc, entry):
-        if not result.extra["acc_correct"]:
-            raise AssertionError(
-                f"{result.system} at n={n_nodes}: wrong accumulator value"
-            )
-    return Figure8Row(
-        n_nodes=n_nodes,
-        max_power=ideal.speedup,
-        optimistic=optimistic.speedup,
-        gwc=gwc.speedup,
-        entry=entry.speedup,
-        rollbacks=optimistic.extra["rollbacks"],
-    )
+def _figure8_series(config: PipelineConfig) -> tuple[float, int]:
+    """One series at one network size: its power and rollback count
+    (module-level: picklable)."""
+    result = run_pipeline(config)
+    if not result.extra["acc_correct"]:
+        raise AssertionError(
+            f"{result.system} at n={config.n_nodes}: wrong accumulator value"
+        )
+    return result.speedup, result.extra["rollbacks"]
 
 
 def run_figure8(
@@ -105,27 +72,47 @@ def run_figure8(
 ) -> list[Figure8Row]:
     """Sweep network sizes for the four Figure 8 series.
 
-    Each network size is an independent simulation point; ``jobs``
-    (default: the ``REPRO_JOBS`` env var) fans them across worker
-    processes without changing any result.
+    Every (network size, series) pair is an independent simulation and
+    one task of a :class:`SweepExecutor`; ``jobs`` (default:
+    ``REPRO_JOBS``, else every usable CPU) fans them across worker
+    processes, largest network first, without changing any result.
     """
     scale = scale_preset(QUICK, FULL)
     sizes = sizes if sizes is not None else scale["sizes"]
     data_size = data_size if data_size is not None else scale["data_size"]
-    executor = SweepExecutor(jobs)
-    points = [
-        (
-            n_nodes,
-            data_size,
-            local_time,
-            mutex_ratio,
-            item_bytes,
-            block_bytes,
-            params,
+    configs = []
+    for n_nodes in sizes:
+        base = dict(
+            n_nodes=n_nodes,
+            data_size=data_size,
+            local_time=local_time,
+            mutex_ratio=mutex_ratio,
+            item_bytes=item_bytes,
+            block_bytes=block_bytes,
         )
-        for n_nodes in sizes
-    ]
-    return executor.map(_figure8_point, points)
+        configs += [
+            PipelineConfig(system="gwc", params=params.zero_delay(), **base),
+            PipelineConfig(system="gwc_optimistic", params=params, **base),
+            PipelineConfig(system="gwc", params=params, **base),
+            PipelineConfig(system="entry", params=params, **base),
+        ]
+    series = SweepExecutor(jobs).map(
+        _figure8_series, configs, cost=lambda config: config.n_nodes
+    )
+    rows = []
+    for i, n_nodes in enumerate(sizes):
+        ideal, optimistic, gwc, entry = series[4 * i : 4 * i + 4]
+        rows.append(
+            Figure8Row(
+                n_nodes=n_nodes,
+                max_power=ideal[0],
+                optimistic=optimistic[0],
+                gwc=gwc[0],
+                entry=entry[0],
+                rollbacks=optimistic[1],
+            )
+        )
+    return rows
 
 
 def expectations(rows: list[Figure8Row]) -> list[PaperExpectation]:

@@ -154,13 +154,19 @@ def run_rootshard_sweep(
     rebalance: bool = True,
     jobs: int | None = None,
 ) -> list[RootShardRow]:
-    """Sweep network sizes; each point is serial baseline vs sharded."""
-    executor = SweepExecutor(jobs)
+    """Sweep network sizes; each point is serial baseline vs sharded.
+
+    ``jobs`` (default: ``REPRO_JOBS``, else every usable CPU) fans the
+    points across worker processes, largest network first, without
+    changing any result.
+    """
     points = [
         (n_nodes, roots, fanout, seed, topology, params, rebalance)
         for n_nodes in sizes
     ]
-    return executor.map(_rootshard_point, points)
+    return SweepExecutor(jobs).map(
+        _rootshard_point, points, cost=lambda point: point[0]  # n_nodes
+    )
 
 
 def expectations(rows: list[RootShardRow]) -> list[PaperExpectation]:

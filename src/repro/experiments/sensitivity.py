@@ -50,7 +50,9 @@ def run_hop_latency_sweep(
          replace(base, hop_latency=hop))
         for hop in hops
     ]
-    return SweepExecutor(jobs).map(_measure_point, points)
+    return SweepExecutor(jobs).map(
+        _measure_point, points, cost=lambda point: point[2]  # n_nodes
+    )
 
 
 def run_bandwidth_sweep(
@@ -66,7 +68,9 @@ def run_bandwidth_sweep(
          replace(base, link_bandwidth_bits=gbit * 1e9))
         for gbit in gbits
     ]
-    return SweepExecutor(jobs).map(_measure_point, points)
+    return SweepExecutor(jobs).map(
+        _measure_point, points, cost=lambda point: point[2]  # n_nodes
+    )
 
 
 def _measure_point(
