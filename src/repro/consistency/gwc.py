@@ -44,8 +44,9 @@ class GroupRootEngine:
         self.lock_managers: dict[str, GwcLockManager] = {}
         #: Speculative mutex-data updates discarded at the root.
         self.discarded = 0
-        #: Updates sequenced and multicast.
-        self.sequenced = 0
+        #: Updates sequenced and multicast in this group: a failover
+        #: successor, built on its retargeted tree, starts where it does.
+        self.sequenced = group.tree._next_seq
         #: Sequencer epoch (root failover): bumped on every re-election;
         #: every packet and heartbeat is stamped with it so members can
         #: fence out a deposed sequencer's traffic.  ``epoch_start_seq``
@@ -62,8 +63,8 @@ class GroupRootEngine:
         #: exactly like a non-holder's speculative write (§4).
         self.window_discards = 0
         #: Writes this engine itself stamped and multicast.  Unlike
-        #: :attr:`sequenced` (which a successor inherits via
-        #: :meth:`adopt_state`), this counts only local sequencing work,
+        #: :attr:`sequenced` (which a successor inherits from the tree),
+        #: this counts only local sequencing work,
         #: so per-root load comparisons reflect where work happened.
         self.locally_sequenced = 0
         #: Local sequencing work by sequencing unit (a lock write or a
@@ -193,43 +194,60 @@ class GroupRootEngine:
         for manager in self.lock_managers.values():
             manager._cancel_lease()
 
-    def adopt_state(
-        self, epoch: int, next_seq: int, image: "dict[str, Any]"
+    def hand_off(
+        self,
+        epoch: int,
+        start_seq: int,
+        image: "dict[str, Any]",
+        old_owner: int,
+        rebuilt: bool = False,
     ) -> None:
-        """Seed a successor engine from quorum-reconstructed state.
+        """Take over ``image`` behind an epoch fence: the one ownership handoff.
 
-        ``next_seq`` is the quorum maximum of the survivors' applied
-        sequence numbers; this epoch's packets start exactly there, so
-        the engine's retransmission history can serve any NACK within
-        the new epoch.
+        Root failover (dead source) and online re-partitioning (live
+        source: its own fence, and the target's refresh under the
+        target's unchanged epoch) both move a root's authority this way.
+        The engine runs under ``epoch`` from ``start_seq`` on: updates
+        stamped with an older epoch are window-discarded (§4's non-holder
+        rule, extended across a change of owner), and a member adopting
+        the fence jumps its cursor to ``start_seq``.  Every name of
+        ``image`` is then re-sequenced, in the caller's order, as one
+        packet train attributed to ``old_owner`` — the only node whose
+        echo filter could drop a mutex-data refresh, and it is dead or
+        already holds the value.  ``rebuilt`` stamps the lock writes so
+        a member can decline a grant it no longer wants (failover's
+        table comes from evidence that may predate a release).
         """
         self.epoch = epoch
-        self.epoch_start_seq = next_seq
-        self.sequenced = next_seq
-        self._authoritative = dict(image)
-
-    def begin_migration_epoch(self, moved_names: "tuple[str, ...]") -> None:
-        """Fence this partition for an ownership handoff.
-
-        Bumps the sequencer epoch exactly like a failover takeover —
-        the new epoch starts at the current sequence position, so stale
-        in-flight updates (old epoch) are window-discarded and members
-        that adopt the fence jump their cursor to the refresh the
-        migration sequences right after this call.  ``moved_names`` are
-        recorded so their stale updates are attributed to migration.
-        """
-        self.epoch += 1
-        self.epoch_start_seq = self.sequenced
-        self.migrated.update(moved_names)
+        self.epoch_start_seq = start_seq
         if self.sim.trace_enabled:
             self.sim.tracer.record(
                 self.sim.now,
-                "root.migration_epoch",
+                "root.handoff",
                 group=self.group.name,
-                epoch=self.epoch,
-                epoch_start=self.epoch_start_seq,
-                moved=list(moved_names),
+                epoch=epoch,
+                epoch_start=start_seq,
+                old_owner=old_owner,
+                names=list(image),
             )
+        variables = self.group.variables
+        locks = self.group.locks
+        self._train_begin()
+        try:
+            for name in image:
+                is_lock = name in locks
+                self._sequence_and_multicast(
+                    var=name,
+                    value=image[name],
+                    origin=old_owner,
+                    is_mutex_data=(
+                        name in variables and variables[name].is_mutex_data
+                    ),
+                    is_lock=is_lock,
+                    rebuilt=rebuilt and is_lock,
+                )
+        finally:
+            self._train_flush()
 
     def on_nack(self, member: int, from_seq: int) -> None:
         """Resend every sequenced packet from ``from_seq`` to ``member``."""
@@ -445,22 +463,6 @@ class GroupRootEngine:
             origin=origin,
             is_mutex_data=decl.is_mutex_data,
             is_lock=False,
-        )
-
-    def sequence_rebuilt_lock(self, name: str, value: Any) -> None:
-        """Sequence one lock write synthesized from failover evidence.
-
-        The ``rebuilt`` stamp lets a member decline a grant it no longer
-        wants (its release died with the old root after the evidence
-        snapshot was taken).
-        """
-        self._sequence_and_multicast(
-            var=name,
-            value=value,
-            origin=self.group.root,
-            is_mutex_data=False,
-            is_lock=True,
-            rebuilt=True,
         )
 
     def _sequence_and_multicast(

@@ -1,38 +1,27 @@
-"""Group-root failover: re-election, reconstruction, epoch fencing.
+"""Group-root failover: the ownership handoff whose source is dead.
 
-The group root is the single sequencing arbiter and lock manager of its
-sharing group (Section 4), which makes it the protocol's one stateful
-single point of failure.  This module restores the paper's liveness
-story when a root crashes:
+The group root is its group's one sequencer and lock manager (Section
+4).  When it crashes, :class:`RootFailoverManager` moves its authority
+to a successor through the one epoch-fenced handoff
+(:meth:`GroupRootEngine.hand_off
+<repro.consistency.gwc.GroupRootEngine.hand_off>`, docs/FAULTS.md §4),
+and owns only what a dead source needs:
 
-1. **Detection** — the fault injector notifies the
-   :class:`RootFailoverManager` of every crash; after a short detection
-   delay (modelling missed heartbeats against the liveness oracle) an
-   election starts for each group the dead node rooted.
-2. **Election** — deterministic: the successor is the lowest-numbered
-   live member.  No votes are needed because the liveness oracle is
-   shared; the delay models the time to notice, not to agree.
+1. **Detection** — after a delay modelling missed heartbeats, an
+   election starts for each group the crashed node rooted.
+2. **Election** — the successor is the lowest-numbered live member
+   (the liveness oracle is shared, so no votes).
 3. **Reconstruction** — the successor queries every live member for its
-   *sequenced* state: the highest applied sequence number, the last
-   applied value of every variable (the interface's ``_applied`` image,
-   which unlike the store never contains speculative local writes), and
-   its local lock copies.  The new sequencer adopts the quorum maximum
-   ``next_seq`` and the matching image; any member behind that point
-   catches up through the ordinary NACK path against the refresh
-   writes.
-4. **Epoch fencing** — the successor's engine runs under
-   ``old epoch + 1``.  Every packet and heartbeat is stamped, members
-   discard stale-epoch traffic, and the new root discards update
-   requests stamped with the old epoch — writes issued into the
-   failover window die exactly like a non-holder's speculative writes.
-5. **Lock rebuild** — a member whose own lock copy reads
-   ``grant(self)`` claims the lock (ties broken by the sequence number
-   of the last applied lock write, then lowest id); members whose copy
-   reads ``request(-self)`` repopulate the wait queue in id order.
+   *sequenced* state (apply cursor, applied image, local lock copies).
+   The longest applied prefix supplies the image and the epoch start.
+4. **Lock rebuild** — a member whose own copy reads ``grant(self)``
+   claims the lock (ties: last applied lock write, then lowest id);
+   copies reading ``request(-self)`` refill the queue in id order.
    Rebuilt grants are stamped ``rebuilt`` so an unwilling holder (its
    release died with the old root) declines by re-sharing FREE.
-   Requesters whose evidence was overwritten by a later grant re-issue
-   through the existing :class:`~repro.locks.gwc_lock.LockRetryPolicy`.
+5. **Re-rooting** — the group's tree moves to the successor, whose own
+   interface adopts the new epoch before the handoff re-sequences the
+   rebuilt image under it.
 
 Everything here is driven by simulator events and the seeded oracle, so
 failover runs are as deterministic as any other chaos run.
@@ -42,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any
 
 from repro.errors import FaultError, RootFailoverError
 from repro.memory.varspace import (
@@ -318,7 +306,7 @@ class RootFailoverManager:
         return True
 
     # ------------------------------------------------------------------
-    # Takeover: sequencer adoption, refresh, lock rebuild
+    # Takeover: re-root, rebuild the image and lock table, hand off
     # ------------------------------------------------------------------
 
     def _takeover(self, election: _Election) -> None:
@@ -334,8 +322,8 @@ class RootFailoverManager:
         next_seq = best.next_seq
         successor = election.successor
 
+        group.retarget_root(successor, start_seq=next_seq)
         engine = GroupRootEngine(machine.sim, group, machine.params.packet_bytes)
-        engine.adopt_state(election.epoch, next_seq, dict(best.image))
         engine.enable_reliability(heartbeat_interval=machine.nack_timeout)
         for decl in group.locks.values():
             engine.add_lock(decl)
@@ -351,21 +339,16 @@ class RootFailoverManager:
         for manager in engine.lock_managers.values():
             manager.on_reclaim = self.injector._note_reclaim
 
-        group.retarget_root(successor, start_seq=next_seq)
         iface = machine.nodes[successor].iface
         iface.root_engines[election.group] = engine
         iface._adopt_epoch(election.group, election.epoch, next_seq)
 
-        # Refresh every data variable under the new epoch.  The writes
-        # are attributed to the *old* root: the successor's own echo
-        # filter would drop a refresh of mutex data it originated, and
-        # the old root is crashed so nothing else claims that origin.
-        for var in sorted(group.variables):
-            engine.sequence_plain_write(
-                var, engine.authoritative_read(var), election.old_root
-            )
-
-        # Rebuild each lock from first-person member evidence.
+        # The image: every variable as the longest prefix applied it,
+        # then each lock rebuilt from first-person member evidence.
+        image = {
+            var: best.image.get(var, decl.initial)
+            for var, decl in sorted(group.variables.items())
+        }
         for name in sorted(group.locks):
             holder, pending = self._reconstruct_lock(election, name)
             manager = engine.lock_managers[name]
@@ -374,9 +357,10 @@ class RootFailoverManager:
             manager.queue.extend(pending)
             if holder is not None:
                 manager._grant_to(holder)
-                engine.sequence_rebuilt_lock(name, grant_value(holder))
-            else:
-                engine.sequence_rebuilt_lock(name, FREE_VALUE)
+            image[name] = FREE_VALUE if holder is None else grant_value(holder)
+        engine.hand_off(
+            election.epoch, next_seq, image, election.old_root, rebuilt=True
+        )
 
         del self._pending[election.group]
         self.takeovers += 1

@@ -1,42 +1,25 @@
-"""Online re-partitioning: epoch-fenced live ownership handoff.
+"""Online re-partitioning: move hot units between live roots.
 
 Root sharding assigns every sequencing unit (a lock plus its mutex
 group, or a standalone variable) to one partition of a sharded-root
-family via the deterministic :class:`RootPartitionMap` hash.  When a
-unit runs hot, that static assignment saturates one root while its
-siblings idle.  :func:`migrate_units` moves units between two *live*
-roots behind the same epoch fence root failover uses:
+family via the :class:`RootPartitionMap` hash; a hot unit saturates its
+root while siblings idle.  :func:`migrate_units` moves units through the
+one ownership handoff (:meth:`GroupRootEngine.hand_off
+<repro.consistency.gwc.GroupRootEngine.hand_off>`, DESIGN.md §6b) and
+owns only what a *live* source adds: the partition-map override, the
+declarations moving subgroup, the exact lock state handed across
+(:meth:`GwcLockManager.export_state` / ``adopt_state``), the names
+recorded as ``migrated`` at the source, an immediate heartbeat for the
+source's fence, and the members' cleared group caches.
 
-1. the partition map records an override for the moved unit,
-2. the declarations move to the target subgroup (shared by reference,
-   so every member re-routes new writes within the same sim event),
-3. lock managers hand their exact holder/queue state across
-   (:meth:`GwcLockManager.export_state` / ``adopt_state``) — no
-   evidence reconstruction, the old owner is alive,
-4. the target root sequences a refresh of every moved name in its own
-   stream, and
-5. the source root bumps its sequencer epoch (``begin_migration_epoch``)
-   and re-sequences everything it still owns under the new epoch,
-   exactly like a failover takeover: members that adopt the fence jump
-   their cursor to the refresh, in-flight old-epoch updates are
-   window-discarded, and a critical section speculating across the
-   fence rolls back and re-runs (the PR 3 stale-window rule, now
-   between two live roots).
-
-Migration therefore has the same at-most-once delivery semantics for
-plain writes in flight at fence time as failover; workloads that need a
-write to survive the window re-share it (see
-``repro.workloads.rootshard``).  Lock traffic recovers on its own: a
-request eaten by the fence is re-issued by the client's
-:class:`~repro.locks.gwc_lock.LockRetryPolicy`, and a release eaten by
-the fence is re-sent by the fenced release barrier
-(``GwcSystem._confirm_release``) once the holder adopts the new epoch —
-lock managers therefore need recovery mode
-(:meth:`~repro.consistency.gwc.GroupRootEngine.configure_lock_recovery`)
-for duplicate/cancel tolerance.  Requires reliability
-(``machine.nack_timeout``) — the fence depends on heartbeats and NACK
-recovery — and :func:`arm_migration_fencing` must run before any
-critical section that may span a migration starts.
+Plain writes in flight at fence time are delivered at most once, as
+under failover; workloads that need one to survive re-share it (see
+``repro.workloads.rootshard``).  A request eaten by the fence is
+re-issued by the client's :class:`~repro.locks.gwc_lock.LockRetryPolicy`
+and a release by ``GwcSystem._confirm_release``, so lock managers need
+recovery mode for duplicate/cancel tolerance.  Requires reliability
+(``machine.nack_timeout``), and :func:`arm_migration_fencing` must run
+before any critical section that may span a migration starts.
 
 :func:`plan_rebalance` is the LPT (longest-processing-time) greedy
 planner over observed per-unit load; :func:`rebalance_family` glues
@@ -63,14 +46,8 @@ class MigrationReport:
     family: str
     #: unit -> (source partition, target partition), applied moves only.
     moves: dict[str, tuple[int, int]] = field(default_factory=dict)
-    #: Names whose declarations changed subgroup.
-    moved_names: tuple[str, ...] = ()
     #: Lock managers handed across live.
     locks_transferred: int = 0
-    #: Refresh writes sequenced by target roots (moved names).
-    target_refreshes: int = 0
-    #: Refresh writes re-sequenced by fenced source roots.
-    source_refreshes: int = 0
     #: Source partitions that bumped their epoch.
     fenced_partitions: tuple[int, ...] = ()
 
@@ -111,8 +88,9 @@ def migrate_units(
     groups = machine.family_groups(family)
     report = MigrationReport(family=family)
 
-    # Resolve, validate, and batch by source partition.
-    by_source: dict[int, list[tuple[str, int]]] = {}
+    # Resolve and validate every move before changing anything, batched
+    # by source partition.
+    by_source: dict[int, list[tuple[str, int, list[str]]]] = {}
     for unit, target in sorted(moves.items()):
         if not 0 <= target < pmap.n_partitions:
             raise MemoryError_(
@@ -122,41 +100,41 @@ def migrate_units(
         source = pmap.partition_of_unit(unit)
         if source == target:
             continue
-        by_source.setdefault(source, []).append((unit, target))
+        src_group = groups[source]
+        names = sorted(
+            name
+            for name in (*src_group.variables, *src_group.locks)
+            if pmap.unit_of(name) == unit
+        )
+        if not names:
+            raise MemoryError_(
+                f"family {family!r}: unit {unit!r} owns nothing in "
+                f"partition {source}"
+            )
+        by_source.setdefault(source, []).append((unit, target, names))
     if not by_source:
         return report
 
-    all_moved_names: list[str] = []
+    moved: list[str] = []
     fenced: list[int] = []
     for source in sorted(by_source):
         src_group = groups[source]
         src_engine = machine.root_engine(src_group.name)
         moved_here: list[str] = []
 
-        for unit, target in by_source[source]:
+        for unit, target, names in by_source[source]:
             tgt_group = groups[target]
             tgt_engine = machine.root_engine(tgt_group.name)
-            names = sorted(
-                name
-                for name in (*src_group.variables, *src_group.locks)
-                if pmap.unit_of(name) == unit
-            )
-            if not names:
-                raise MemoryError_(
-                    f"family {family!r}: unit {unit!r} owns nothing in "
-                    f"partition {source}"
-                )
             pmap.set_override(unit, target)
             report.moves[unit] = (source, target)
 
+            image = {}
             for name in names:
-                moved_here.append(name)
+                image[name] = src_engine.authoritative_read(name)
                 if name in src_group.locks:
                     decl = src_group.locks.pop(name)
                     new_decl = dataclasses.replace(decl, group=tgt_group.name)
                     tgt_group.locks[name] = new_decl
-                    # Live handoff: the exact holder/queue state moves;
-                    # nothing is reconstructed from member evidence.
                     state = src_engine.lock_managers.pop(name).export_state()
                     manager = tgt_engine.add_lock(new_decl)
                     manager.adopt_state(state)
@@ -166,67 +144,39 @@ def migrate_units(
                     tgt_group.variables[name] = dataclasses.replace(
                         decl, group=tgt_group.name
                     )
-                tgt_engine._authoritative[name] = src_engine.authoritative_read(
-                    name
-                )
+            # Target refresh: the moved names join the target's stream
+            # under its own (unchanged) epoch, owned again if they once
+            # migrated away from it.
+            if tgt_engine.migrated:
+                tgt_engine.migrated.difference_update(names)
+            tgt_engine.hand_off(
+                tgt_engine.epoch, tgt_engine.epoch_start_seq, image,
+                src_group.root,
+            )
+            moved_here += names
 
-            # Target refresh: the moved names join the target's (un-
-            # bumped) sequence stream with their authoritative values.
-            # Origin is the *source* root, the same echo-filter trick
-            # failover uses: the only node that drops a mutex-data
-            # refresh is the source root itself, whose store already
-            # has the identical value.
-            tgt_engine._train_begin()
-            try:
-                for name in names:
-                    tgt_engine._sequence_and_multicast(
-                        var=name,
-                        value=tgt_engine._authoritative[name],
-                        origin=src_group.root,
-                        is_mutex_data=(
-                            name in tgt_group.variables
-                            and tgt_group.variables[name].is_mutex_data
-                        ),
-                        is_lock=name in tgt_group.locks,
-                    )
-                    report.target_refreshes += 1
-            finally:
-                tgt_engine._train_flush()
-
-        # Source mini-takeover: fence the partition and re-sequence
-        # everything it still owns under the new epoch, so a member
-        # whose cursor jumps to the new epoch_start loses nothing.
-        src_engine.begin_migration_epoch(tuple(moved_here))
-        fenced.append(source)
-        remaining = sorted((*src_group.variables, *src_group.locks))
-        src_engine._train_begin()
-        try:
-            for name in remaining:
-                src_engine._sequence_and_multicast(
-                    var=name,
-                    value=src_engine.authoritative_read(name),
-                    origin=src_group.root,
-                    is_mutex_data=(
-                        name in src_group.variables
-                        and src_group.variables[name].is_mutex_data
-                    ),
-                    is_lock=name in src_group.locks,
-                )
-                report.source_refreshes += 1
-        finally:
-            src_engine._train_flush()
-        # Announce the fence immediately: a member that misses every
-        # refresh packet still adopts the new epoch from the heartbeat
-        # and NACKs its way back in.
+        # Source fence: a new epoch from the current position, so a
+        # member whose cursor jumps to it loses nothing that the source
+        # still owns; announced at once, so a member that misses every
+        # refresh packet still adopts it and NACKs its way back in.
+        src_engine.migrated.update(moved_here)
+        src_engine.hand_off(
+            src_engine.epoch + 1, src_engine.sequenced,
+            {
+                name: src_engine.authoritative_read(name)
+                for name in sorted((*src_group.variables, *src_group.locks))
+            },
+            src_group.root,
+        )
         src_engine.emit_heartbeat()
-        all_moved_names.extend(moved_here)
+        fenced.append(source)
+        moved += moved_here
 
     # Every member re-routes new writes for the moved names at once
     # (declarations are shared by reference; only the caches lag).
-    moved_tuple = tuple(all_moved_names)
+    moved_tuple = tuple(moved)
     for member in groups[0].members:
         machine.nodes[member].iface.forget_group_of(moved_tuple)
-    report.moved_names = moved_tuple
     report.fenced_partitions = tuple(fenced)
     return report
 

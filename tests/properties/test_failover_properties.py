@@ -190,16 +190,19 @@ class EpochFenceMachine(RuleBasedStateMachine):
         self.new = GroupRootEngine(
             machine.sim, group, machine.params.packet_bytes
         )
-        self.new.adopt_state(
-            self.old.epoch + 1, self.old.sequenced, {"v": 0}
-        )
         for decl in group.locks.values():
             self.new.add_lock(decl)
         # Rebuilt lock table: node 1 holds, node 2 queued.
         manager = self.new.lock_managers["L"]
         manager.queue.append(2)
         manager._grant_to(1)
-        self.new.sequence_rebuilt_lock("L", grant_value(1))
+        self.new.hand_off(
+            self.old.epoch + 1,
+            self.old.sequenced,
+            {"v": 0, "L": grant_value(1)},
+            old_owner=group.root,
+            rebuilt=True,
+        )
         self.model_value = 0
         self.stale_sent = 0
 

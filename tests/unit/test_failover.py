@@ -164,6 +164,66 @@ class TestLockReconstruction:
         assert pending == [2, 3]  # id order; _takeover promotes pending[0]
 
 
+class TestTakeover:
+    """``_takeover`` on a hand-built quorum whose members disagree."""
+
+    def _takeover(self, holder=None):
+        machine = DSMMachine(n_nodes=4, reliable=True)
+        machine.create_group("g")
+        machine.declare_variable("g", "v", 0)
+        machine.declare_variable("g", "d", 0, mutex_lock="L")
+        machine.declare_lock("g", "L", protects=("d",))
+        injector = FaultInjector(machine, FaultPlan([], seed=0))
+        manager = RootFailoverManager(machine, injector)
+        manager.install()
+        election = _Election("g", old_root=0, successor=1, epoch=1)
+        # Member 3 applied the longest prefix; member 2 lags behind it.
+        for member, next_seq, value in ((1, 6, 5), (2, 4, 3), (3, 9, 8)):
+            lock = grant_value(member) if member == holder else FREE_VALUE
+            election.replies[member] = FailoverReply(
+                group="g", member=member, epoch=1, next_seq=next_seq,
+                image={"v": value, "d": 0}, lock_state={"L": lock},
+                lock_seq={"L": 2},
+            )
+        manager._pending["g"] = election
+        manager._takeover(election)
+        return machine
+
+    def test_successor_adopts_the_longest_applied_prefix(self):
+        machine = self._takeover()
+        engine = machine.root_engine("g")
+        assert engine.epoch_start_seq == 9
+        assert engine.authoritative_read("v") == 8
+        machine.run()
+        for node in machine.nodes[1:]:
+            assert node.store.read("v") == 8
+
+    def test_successor_writes_under_the_new_epoch_at_once(self):
+        # The successor's own interface adopts the epoch inside the
+        # takeover: a write it issues at that instant is sequenced, not
+        # window-discarded as if it came from the old sequencer's era.
+        machine = self._takeover()
+        machine.nodes[1].iface.share_write("v", 11)
+        machine.run()
+        engine = machine.root_engine("g")
+        assert engine.window_discards == 0
+        assert engine.authoritative_read("v") == 11
+
+    def test_an_unwanted_rebuilt_grant_is_declined(self):
+        # Member 2's evidence shows it holding L, but its release died
+        # with the old root: when the rebuilt grant lands its own copy
+        # reads FREE, so it declines and the lock comes back free.
+        machine = self._takeover(holder=2)
+        manager = machine.root_engine("g").lock_managers["L"]
+        assert manager.holder == 2
+        machine.nodes[2].store.write("L", FREE_VALUE)
+        machine.run()
+        assert machine.nodes[2].iface.declined_regrants == 1
+        assert manager.holder is None
+        for node in machine.nodes:
+            assert node.store.read("L") == FREE_VALUE
+
+
 class TestLossModelFailoverGate:
     def _msg(self, kind, retransmit=False):
         class _Payload:

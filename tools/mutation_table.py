@@ -148,6 +148,45 @@ MUTANTS: list[Mutant] = [
            "if state.owner != node_id:\n            # Wrong guess",
            "if state.owner != node_id and self.owner_oracle:\n"
            "            # Wrong guess"),
+    # The epoch-fenced ownership handoff: root failover (dead source)
+    # and online re-partitioning (live source), one mutant per duty.
+    Mutant("takeover_before_all_replies", "faults/failover.py",
+           "if waiting or not election.replies:", "if not election.replies:"),
+    Mutant("adopt_shortest_prefix", "faults/failover.py",
+           "key=lambda r: (-r.next_seq, r.member)",
+           "key=lambda r: (r.next_seq, r.member)"),
+    Mutant("claim_tiebreak_reversed", "faults/failover.py",
+           "claims.sort(key=lambda claim: (-claim[0], claim[1]))",
+           "claims.sort(key=lambda claim: (-claim[0], claim[1]), reverse=True)"),
+    Mutant("lease_config_not_inherited", "faults/failover.py",
+           "if old_engine is not None and old_engine._lock_recovery:",
+           "if False:"),
+    Mutant("takeover_var_refresh_skipped", "faults/failover.py",
+           "for var, decl in sorted(group.variables.items())",
+           "for var, decl in ()"),
+    Mutant("successor_skips_adopt_epoch", "faults/failover.py",
+           "iface._adopt_epoch(election.group, election.epoch, next_seq)",
+           "pass"),
+    Mutant("fence_records_migrated_without_bump", "memory/repartition.py",
+           "src_engine.epoch + 1, src_engine.sequenced,",
+           "src_engine.epoch, src_engine.epoch_start_seq,"),
+    Mutant("target_lock_state_not_adopted", "memory/repartition.py",
+           "manager.adopt_state(state)", "pass"),
+    Mutant("fence_heartbeat_skipped", "memory/repartition.py",
+           "src_engine.emit_heartbeat()", "pass"),
+    Mutant("target_refresh_skipped", "memory/repartition.py",
+           "            tgt_engine.hand_off(\n", "            (\n"),
+    Mutant("group_caches_not_forgotten", "memory/repartition.py",
+           "machine.nodes[member].iface.forget_group_of(moved_tuple)", "pass"),
+    Mutant("old_epoch_migrated_write_sequenced", "consistency/gwc.py",
+           "if var in self.migrated:\n            # A write buffered",
+           "if False:\n            # A write buffered"),
+    Mutant("confirm_release_bypassed", "consistency/gwc.py",
+           "        if self.machine.migration_fencing:\n"
+           "            yield from self._confirm_release(node, lock)\n",
+           ""),
+    Mutant("rebuilt_stamp_dropped", "faults/failover.py",
+           "rebuilt=True", "rebuilt=False"),
 ]
 
 
@@ -213,7 +252,8 @@ def run_table(mutants: list[Mutant], logs: pathlib.Path | None = None) -> int:
         env["PYTHONPATH"] = str(tree / "src")
         for mutant in mutants:  # every anchor is checked before any run
             mutate(tree, mutant)
-        print(f"{'mutant':<30}" + "".join(f"{t:<8}" for t in TIERS) + "verdict")
+        width = max(len(mutant.name) for mutant in mutants) + 2
+        print(f"{'mutant':<{width}}" + "".join(f"{t:<8}" for t in TIERS) + "verdict")
         survivors = 0
         for mutant in mutants:
             target, original, mutated = mutate(tree, mutant)
@@ -234,7 +274,7 @@ def run_table(mutants: list[Mutant], logs: pathlib.Path | None = None) -> int:
                 f"{'caught' if hit else 'passed':<8}" for hit in caught.values()
             )
             verdict = "killed" if killed else "SURVIVED"
-            print(f"{mutant.name:<30}{cells}{verdict}", flush=True)
+            print(f"{mutant.name:<{width}}{cells}{verdict}", flush=True)
     if survivors:
         print(f"mutation-table: {survivors} mutant(s) survived every tier")
     return 1 if survivors else 0
