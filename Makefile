@@ -71,8 +71,9 @@ profile:
 	p.enable(); run_figure2(); run_figure8(); p.disable(); \
 	pstats.Stats(p).sort_stats('cumulative').print_stats(20)"
 
+# Every example script, stopping at the first that fails (~5 s).
 examples:
-	for script in examples/*.py; do echo "== $$script"; $(PY) $$script; done
+	for script in examples/*.py; do echo "== $$script"; PYTHONPATH=src $(PY) $$script || exit 1; done
 
 figures:
 	PYTHONPATH=src $(PY) -m repro reproduce

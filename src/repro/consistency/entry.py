@@ -473,7 +473,7 @@ class EntrySystem(DsmSystem):
         assert state.pending_grant is not None
         requester, mode = state.pending_grant
         state.pending_grant = None
-        decl = self.machine.lock_decl(lock)
+        decl = self.machine.group_of_lock(lock).locks[lock]
         owner_store = self.machine.nodes[state.owner].store
         data = {var: owner_store.read(var) for var in decl.protects}
         self.data_grants += 1

@@ -618,7 +618,9 @@ class GwcSystem(DsmSystem):
     def _client(self, lock: str) -> GwcLockClient:
         client = self._clients.get(lock)
         if client is None:
-            client = GwcLockClient(self.machine.lock_decl(lock), self.lock_retry)
+            client = GwcLockClient(
+                self.machine.group_of_lock(lock).locks[lock], self.lock_retry
+            )
             self._clients[lock] = client
         return client
 

@@ -26,9 +26,9 @@ from repro.consistency.checker import MutualExclusionChecker
 from repro.core.node import NodeHandle
 from repro.errors import MemoryError_, NetworkError
 from repro.memory.interface import NodeInterface
-from repro.memory.sharing_group import SharingGroup
+from repro.memory.sharing_group import GroupFamily, SharingGroup
 from repro.memory.store import LocalStore
-from repro.memory.varspace import LockDecl, RootPartitionMap, VarDecl
+from repro.memory.varspace import FREE_VALUE, LockDecl, VarDecl
 from repro.metrics.collector import MachineMetrics
 from repro.net.message import Message
 from repro.net.network import Network
@@ -89,13 +89,9 @@ class DSMMachine:
         #: fenced critical-section paths failover uses (see
         #: :attr:`epoch_fencing`).
         self._migration_fencing = False
-        #: family name -> partition-ordered subgroup names.  Every group
-        #: is a family (single-root groups are families of one); a
-        #: sharded-root group is K sibling subgroups over the same
-        #: members, each with its own root and sequence space.
-        self.families: dict[str, tuple[str, ...]] = {}
-        #: family name -> deterministic unit->partition assignment.
-        self.partition_maps: dict[str, RootPartitionMap] = {}
+        #: group name -> its family of root partitions (see :meth:`family`).
+        self.families: dict[str, GroupFamily] = {}
+        #: part name -> part, every family's parts in creation order.
         self.groups: dict[str, SharingGroup] = {}
         self._kind_handlers: dict[str, KindHandler] = {}
         self._per_node_handlers: dict[
@@ -244,15 +240,6 @@ class DSMMachine:
     # Groups, variables, locks
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def subgroup_name(family: str, partition: int) -> str:
-        """Name of partition ``partition`` in a sharded-root family.
-
-        Partition 0 keeps the base name so single-root callers and
-        goldens are untouched; partition k is ``{family}@r{k}``.
-        """
-        return family if partition == 0 else f"{family}@r{partition}"
-
     def create_group(
         self,
         name: str,
@@ -265,86 +252,58 @@ class DSMMachine:
         """Create a sharing group (default: all nodes, rooted at node 0).
 
         With ``roots=(r0, r1, ...)`` the group's address space is
-        *root-sharded*: K sibling subgroups are created over the same
-        members — partition 0 keeps ``name``, partition k is
-        ``{name}@r{k}`` — each with its own root, sequencer, and epoch.
-        A :class:`RootPartitionMap` seeded with ``partition_seed``
-        deterministically assigns every declared variable/lock unit to
-        one partition.  ``fanout`` bounds per-node multicast degree via
-        a hierarchical relay tree (None = direct root fanout).
+        *root-sharded*: a :class:`GroupFamily` of K parts over the same
+        members — part 0 keeps ``name``, part k is ``{name}@r{k}`` —
+        each with its own root, sequencer, and epoch.  Its partition
+        map, seeded with ``partition_seed``, deterministically assigns
+        every declared variable/lock unit to one part.  ``fanout``
+        bounds per-node multicast degree via a hierarchical relay tree
+        (None = direct root fanout).  Returns part 0.
         """
-        if name in self.groups:
-            raise MemoryError_(f"group {name!r} already exists")
         member_tuple = (
             tuple(range(self.n_nodes)) if members is None else tuple(members)
         )
         root_tuple = (root,) if roots is None else tuple(roots)
         if len(set(root_tuple)) != len(root_tuple):
             raise MemoryError_(f"group {name!r}: duplicate roots {root_tuple}")
-        subgroup_names: list[str] = []
-        for partition, part_root in enumerate(root_tuple):
-            sub_name = self.subgroup_name(name, partition)
-            if sub_name in self.groups:
-                raise MemoryError_(f"group {sub_name!r} already exists")
-            group = SharingGroup(
-                sub_name,
-                self.network,
-                member_tuple,
-                part_root,
-                fanout=fanout,
-                family=name,
-                partition=partition,
-            )
-            self.groups[sub_name] = group
-            subgroup_names.append(sub_name)
-            for node_id in group.members:
-                self.nodes[node_id].iface.join_group(group)
-            # The root engine lives on the root node's interface.
-            from repro.consistency.gwc import GroupRootEngine
+        family = GroupFamily.build(
+            name, self.network, member_tuple, root_tuple, fanout, partition_seed
+        )
+        for part in family.parts:
+            if part.name in self.groups:
+                raise MemoryError_(f"group {part.name!r} already exists")
+        from repro.consistency.gwc import GroupRootEngine
 
-            engine = GroupRootEngine(self.sim, group, self.params.packet_bytes)
+        self.families[name] = family
+        for part in family.parts:
+            self.groups[part.name] = part
+            for node_id in part.members:
+                self.nodes[node_id].iface.join_group(part)
+            # The root engine lives on the root node's interface.
+            engine = GroupRootEngine(self.sim, part, self.params.packet_bytes)
             if self.nack_timeout is not None:
                 engine.enable_reliability(heartbeat_interval=self.nack_timeout)
-            self.nodes[part_root].iface.root_engines[sub_name] = engine
-        self.families[name] = tuple(subgroup_names)
-        self.partition_maps[name] = RootPartitionMap(
-            name, len(root_tuple), seed=partition_seed
-        )
-        return self.groups[name]
+            self.nodes[part.root].iface.root_engines[part.name] = engine
+        return family.parts[0]
+
+    def family(self, name: str) -> GroupFamily:
+        """The group (family of root partitions) called ``name``."""
+        try:
+            return self.families[name]
+        except KeyError:
+            raise MemoryError_(f"no group {name!r}") from None
 
     def root_engine(self, group: str) -> "GroupRootEngine":  # noqa: F821
-        """The root engine for a group (lives at the group's root node)."""
-        grp = self.groups[group]
-        return self.nodes[grp.root].iface.root_engines[group]
-
-    def family_groups(self, family: str) -> "tuple[SharingGroup, ...]":
-        """All sibling subgroups of a family, in partition order."""
-        return tuple(self.groups[sub] for sub in self.families[family])
+        """The root engine of part ``group`` (lives at the part's root)."""
+        try:
+            part = self.groups[group]
+        except KeyError:
+            raise MemoryError_(f"no group {group!r}") from None
+        return self.nodes[part.root].iface.root_engines[group]
 
     def engines_for(self, family: str) -> "tuple[GroupRootEngine, ...]":  # noqa: F821
         """All root engines of a family, in partition order."""
-        return tuple(self.root_engine(sub) for sub in self.families[family])
-
-    def partition_map(self, family: str) -> RootPartitionMap:
-        """The deterministic unit->partition assignment of a family."""
-        return self.partition_maps[family]
-
-    def home_group(self, family: str, var: str) -> SharingGroup:
-        """The subgroup whose root currently owns variable/lock ``var``."""
-        pmap = self.partition_maps[family]
-        return self.groups[self.families[family][pmap.partition_of(var)]]
-
-    def root_load_summary(self, family: str) -> "dict[int, dict[str, int]]":
-        """Per-partition locally-sequenced load, by sequencing unit.
-
-        Only counts writes each engine sequenced itself (adopted state
-        from failover/migration is excluded), so the numbers reflect
-        where sequencing work actually happened.
-        """
-        return {
-            group.partition: dict(self.root_engine(group.name).load_by_unit)
-            for group in self.family_groups(family)
-        }
+        return tuple(self.root_engine(p.name) for p in self.family(family).parts)
 
     def declare_variable(
         self,
@@ -361,9 +320,9 @@ class DSMMachine:
         share that lock's unit, so grants and mutex-data discard
         decisions always happen on the owning root.
         """
-        pmap = self.partition_maps[group]
-        pmap.register(name, mutex_lock)
-        grp = self.home_group(group, name)
+        family = self.family(group)
+        family.pmap.register(name, mutex_lock)
+        grp = family.home(name)
         decl = VarDecl(
             name=name,
             group=grp.name,
@@ -384,9 +343,9 @@ class DSMMachine:
         data_bytes: int = 64,
     ) -> LockDecl:
         """Declare a lock on a group; installs the root-side manager."""
-        pmap = self.partition_maps[group]
-        pmap.register(name)
-        grp = self.home_group(group, name)
+        family = self.family(group)
+        family.pmap.register(name)
+        grp = family.home(name)
         decl = LockDecl(
             name=name,
             group=grp.name,
@@ -394,21 +353,13 @@ class DSMMachine:
             data_bytes=data_bytes,
         )
         grp.declare_lock(decl)
-        from repro.memory.varspace import FREE_VALUE
-
         for node_id in grp.members:
             self.nodes[node_id].store.declare(name, FREE_VALUE)
         self.root_engine(grp.name).add_lock(decl)
         return decl
 
-    def lock_decl(self, name: str) -> LockDecl:
-        """Look a lock declaration up across all groups."""
-        for group in self.groups.values():
-            if name in group.locks:
-                return group.locks[name]
-        raise MemoryError_(f"no group declares lock {name!r}")
-
     def group_of_lock(self, name: str) -> SharingGroup:
+        """The part that declares lock ``name`` (its manager's root)."""
         for group in self.groups.values():
             if name in group.locks:
                 return group

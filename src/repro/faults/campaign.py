@@ -809,16 +809,20 @@ def _config_payload(config: ChaosConfig) -> dict[str, Any]:
     return payload
 
 
-def _config_from_payload(payload: dict[str, Any]) -> ChaosConfig:
-    fields = dict(payload)
-    params = fields.pop("params", "paper")
-    fields["params"] = (
-        PAPER_PARAMS if params == "paper" else MachineParams(**params)
-    )
-    fields.pop("plan", None)
+def _config_from_payload(payload: Any) -> ChaosConfig:
+    """Exactly ChaosConfig's fields, or FaultError: never a half-read run."""
+    want = {f.name for f in dataclasses.fields(ChaosConfig)}
+    got = set(payload) if isinstance(payload, dict) else set()
     try:
-        return ChaosConfig(**fields)
-    except TypeError as exc:
+        if got != want:
+            raise TypeError(
+                f"want a JSON object with ChaosConfig's fields; missing "
+                f"{sorted(want - got)}, unknown {sorted(got - want)}"
+            )
+        params = payload["params"]
+        params = PAPER_PARAMS if params == "paper" else MachineParams(**params)
+        return ChaosConfig(**{**payload, "plan": None, "params": params})
+    except (TypeError, ExperimentError) as exc:
         raise FaultError(f"malformed repro-bundle config: {exc}") from exc
 
 

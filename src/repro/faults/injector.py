@@ -276,17 +276,17 @@ class FaultInjector:
         """
         from repro.memory.varspace import grant_value
 
-        if group_name not in self.machine.groups:
+        family = self.machine.families.get(group_name)
+        if family is None:
             raise FaultError(f"crash(root_of=...): no group {group_name!r}")
-        # A root-sharded family spreads its locks over sibling subgroups;
-        # target whichever sibling root actually sequences a held lock
-        # (a family of one degenerates to the classic single root).
-        subgroups = self.machine.families.get(group_name, (group_name,))
-        for sub_name in subgroups:
-            root = self.machine.groups[sub_name].root
+        # A root-sharded family spreads its locks over its parts; target
+        # whichever part's root actually sequences a held lock (a family
+        # of one is the classic single root).
+        for part in family.parts:
+            root = part.root
             if root in self.crashed:
                 continue
-            engine = self.machine.nodes[root].iface.root_engines.get(sub_name)
+            engine = self.machine.nodes[root].iface.root_engines.get(part.name)
             managers = engine.lock_managers.values() if engine else ()
             for manager in managers:
                 holder = manager.holder

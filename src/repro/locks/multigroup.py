@@ -40,7 +40,8 @@ class MultiGroupMutex:
         #: Canonical global acquisition order prevents deadlock.
         self.locks = tuple(sorted(locks))
         self._clients = {
-            name: GwcLockClient(machine.lock_decl(name)) for name in self.locks
+            name: GwcLockClient(machine.group_of_lock(name).locks[name])
+            for name in self.locks
         }
         # Verify the locks really span distinct groups (the pattern's
         # purpose); same-group pairs would work but are pointless.

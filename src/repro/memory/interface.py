@@ -169,9 +169,6 @@ class NodeInterface:
         self.groups: dict[str, SharingGroup] = {}
         #: var/lock name -> owning joined group (see :meth:`group_of`).
         self._group_cache: dict[str, SharingGroup] = {}
-        #: family name -> partition-ordered sibling subgroups this node
-        #: joined (the cross-root atomics rule iterates these).
-        self._family_groups: dict[str, list[SharingGroup]] = {}
         #: Apply packets this node forwarded down a hierarchical
         #: multicast relay tree (diagnostics).
         self.relayed_applies = 0
@@ -227,10 +224,6 @@ class NodeInterface:
         self._reorder.setdefault(group.name, {})
         self._epoch.setdefault(group.name, 0)
         self._burst.setdefault(group.name, [])
-        family = self._family_groups.setdefault(group.family, [])
-        if group.name not in (g.name for g in family):
-            family.append(group)
-            family.sort(key=lambda g: g.partition)
         if group.fanout is not None:
             self._relay_mode = True
         for name, value in group.initial_image().items():
@@ -341,11 +334,8 @@ class NodeInterface:
         the wire to its owning root before the lock value that
         publishes the critical section leaves this node.
         """
-        siblings = self._family_groups.get(group.family)
-        if siblings is None or len(siblings) == 1:
-            return
-        for sibling in siblings:
-            if sibling.name != group.name and self._burst[sibling.name]:
+        for sibling in group.family.parts:
+            if sibling is not group and self._burst[sibling.name]:
                 self._flush_burst(sibling)
 
     def _flush_burst(
@@ -614,26 +604,14 @@ class NodeInterface:
             # The declaration may have migrated to a sibling partition
             # while this apply was in flight (decl dicts are shared by
             # reference, so this relay's view moved too); size the
-            # forward from whichever sibling holds it now.
+            # forward from whichever part owns it now.
             sized = group
             if (
                 packet.var not in group.variables
                 and packet.var not in group.locks
             ):
-                sized = next(
-                    (
-                        sib
-                        for sib in self._family_groups.get(group.family, ())
-                        if packet.var in sib.variables
-                        or packet.var in sib.locks
-                    ),
-                    None,
-                )
-            size = (
-                sized.wire_bytes(packet.var, packet_bytes)
-                if sized is not None
-                else packet_bytes
-            )
+                sized = group.family.home(packet.var)
+            size = sized.wire_bytes(packet.var, packet_bytes)
         self.relayed_applies += len(kids)
         self.network.send_fanout(self.node, kids, "gwc.apply", packet, size)
 

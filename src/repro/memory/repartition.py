@@ -6,8 +6,9 @@ family via the :class:`RootPartitionMap` hash; a hot unit saturates its
 root while siblings idle.  :func:`migrate_units` moves units through the
 one ownership handoff (:meth:`GroupRootEngine.hand_off
 <repro.consistency.gwc.GroupRootEngine.hand_off>`, DESIGN.md §6b) and
-owns only what a *live* source adds: the partition-map override, the
-declarations moving subgroup, the exact lock state handed across
+the family's :meth:`~repro.memory.sharing_group.GroupFamily.move` (the
+partition-map override and the declarations), and owns only what a
+*live* source adds to them: the exact lock state handed across
 (:meth:`GwcLockManager.export_state` / ``adopt_state``), the names
 recorded as ``migrated`` at the source, an immediate heartbeat for the
 source's fence, and the members' cleared group caches.
@@ -28,7 +29,6 @@ observation, planning, and migration together.
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -84,13 +84,13 @@ def migrate_units(
     their new owning root.
     """
     arm_migration_fencing(machine)
-    pmap = machine.partition_map(family)
-    groups = machine.family_groups(family)
+    fam = machine.family(family)
+    pmap, groups = fam.pmap, fam.parts
     report = MigrationReport(family=family)
 
     # Resolve and validate every move before changing anything, batched
     # by source partition.
-    by_source: dict[int, list[tuple[str, int, list[str]]]] = {}
+    by_source: dict[int, list[tuple[str, int, tuple[str, ...]]]] = {}
     for unit, target in sorted(moves.items()):
         if not 0 <= target < pmap.n_partitions:
             raise MemoryError_(
@@ -100,12 +100,7 @@ def migrate_units(
         source = pmap.partition_of_unit(unit)
         if source == target:
             continue
-        src_group = groups[source]
-        names = sorted(
-            name
-            for name in (*src_group.variables, *src_group.locks)
-            if pmap.unit_of(name) == unit
-        )
+        names = fam.declared(unit)
         if not names:
             raise MemoryError_(
                 f"family {family!r}: unit {unit!r} owns nothing in "
@@ -125,25 +120,15 @@ def migrate_units(
         for unit, target, names in by_source[source]:
             tgt_group = groups[target]
             tgt_engine = machine.root_engine(tgt_group.name)
-            pmap.set_override(unit, target)
+            image = {name: src_engine.authoritative_read(name) for name in names}
+            fam.move(unit, target)
             report.moves[unit] = (source, target)
-
-            image = {}
             for name in names:
-                image[name] = src_engine.authoritative_read(name)
-                if name in src_group.locks:
-                    decl = src_group.locks.pop(name)
-                    new_decl = dataclasses.replace(decl, group=tgt_group.name)
-                    tgt_group.locks[name] = new_decl
+                if name in tgt_group.locks:
                     state = src_engine.lock_managers.pop(name).export_state()
-                    manager = tgt_engine.add_lock(new_decl)
+                    manager = tgt_engine.add_lock(tgt_group.locks[name])
                     manager.adopt_state(state)
                     report.locks_transferred += 1
-                else:
-                    decl = src_group.variables.pop(name)
-                    tgt_group.variables[name] = dataclasses.replace(
-                        decl, group=tgt_group.name
-                    )
             # Target refresh: the moved names join the target's stream
             # under its own (unchanged) epoch, owned again if they once
             # migrated away from it.
@@ -218,7 +203,7 @@ def plan_rebalance(
 def family_unit_loads(machine: "DSMMachine", family: str) -> dict[str, int]:
     """Aggregate locally-sequenced load per unit across a family's roots."""
     loads: dict[str, int] = {}
-    pmap = machine.partition_map(family)
+    pmap = machine.family(family).pmap
     for engine in machine.engines_for(family):
         for unit, count in engine.load_by_unit.items():
             # Engine load keys are already unit names (lock writes and
@@ -240,7 +225,7 @@ def rebalance_family(
     load is not at least that fraction below the current max (0.0 =
     always apply a differing plan).
     """
-    pmap = machine.partition_map(family)
+    pmap = machine.family(family).pmap
     loads = family_unit_loads(machine, family)
     if not loads:
         return MigrationReport(family=family)

@@ -11,12 +11,16 @@ root**.  The root is simultaneously (Section 4 of the paper):
 "Compiler tools can aggregate related variables and locks into the same
 sharing group" — here the aggregation is explicit: variables and locks
 are declared on the group.
+Every group is a :class:`GroupFamily` of K >= 1 root partitions; the
+paper's single-root group is a family of one.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.errors import GroupMembershipError, MemoryError_
-from repro.memory.varspace import FREE_VALUE, LockDecl, VarDecl
+from repro.memory.varspace import FREE_VALUE, LockDecl, RootPartitionMap, VarDecl
 from repro.net.multicast import MulticastTree
 from repro.net.network import Network
 
@@ -31,8 +35,6 @@ class SharingGroup:
         members: tuple[int, ...],
         root: int,
         fanout: int | None = None,
-        family: str | None = None,
-        partition: int = 0,
     ) -> None:
         if root not in members:
             raise GroupMembershipError(
@@ -45,15 +47,12 @@ class SharingGroup:
         self.root = root
         #: Relay fanout for hierarchical multicast (None = direct fanout).
         self.fanout = fanout
-        #: Base name of the sharded-root family this group belongs to.
-        #: Partition 0 keeps the base name; partition k is ``{family}@r{k}``.
-        #: Single-root groups are their own one-member family.
-        self.family = family if family is not None else name
-        #: This group's partition index within its family.
-        self.partition = partition
         self.tree = MulticastTree(network, root, self.members, fanout=fanout)
         self.variables: dict[str, VarDecl] = {}
         self.locks: dict[str, LockDecl] = {}
+        #: The family this group is a part of; a group built on its own
+        #: is the one part of a family of one.
+        self.family = GroupFamily(name, (self,), RootPartitionMap(name, 1))
 
     def __repr__(self) -> str:
         return (
@@ -158,3 +157,72 @@ class SharingGroup:
         for lock in self.locks.values():
             image[lock.name] = FREE_VALUE
         return image
+
+
+class GroupFamily:
+    """One sharing group as K >= 1 root partitions ("parts").
+
+    Part 0 keeps the family's name, part k is ``{name}@r{k}``; all
+    parts share the members, each has its own root, sequencer and epoch.
+    The partition map decides which part declares every name, and the
+    part order is the sibling order of the cross-root flush rule.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        parts: tuple[SharingGroup, ...],
+        pmap: RootPartitionMap,
+    ) -> None:
+        self.name = name
+        self.parts = parts
+        self.pmap = pmap
+        for part in parts:
+            part.family = self
+
+    @classmethod
+    def build(
+        cls,
+        name: str,
+        network: Network,
+        members: tuple[int, ...],
+        roots: tuple[int, ...],
+        fanout: int | None = None,
+        seed: int = 0,
+    ) -> GroupFamily:
+        """Parts rooted at ``roots`` in order, over a seeded partition map."""
+        parts = tuple(
+            SharingGroup(
+                name if k == 0 else f"{name}@r{k}", network, members, root, fanout
+            )
+            for k, root in enumerate(roots)
+        )
+        return cls(name, parts, RootPartitionMap(name, len(parts), seed=seed))
+
+    def home(self, name: str) -> SharingGroup:
+        """The part that owns variable or lock ``name`` now."""
+        return self.parts[self.pmap.partition_of(name)]
+
+    def declared(self, unit: str) -> tuple[str, ...]:
+        """The names of ``unit`` its home part declares, sorted."""
+        part = self.parts[self.pmap.partition_of_unit(unit)]
+        unit_of = self.pmap.unit_of
+        return tuple(
+            sorted(n for n in (*part.variables, *part.locks) if unit_of(n) == unit)
+        )
+
+    def move(self, unit: str, target: int) -> tuple[str, ...]:
+        """Re-home ``unit`` on part ``target``: flip the map's override
+        and move every declaration of the unit; returns the moved names."""
+        names = self.declared(unit)
+        source = self.parts[self.pmap.partition_of_unit(unit)]
+        self.pmap.set_override(unit, target)
+        dest = self.parts[target]
+        for name in names:
+            if name in source.locks:
+                dest.locks[name] = replace(source.locks.pop(name), group=dest.name)
+            else:
+                dest.variables[name] = replace(
+                    source.variables.pop(name), group=dest.name
+                )
+        return names

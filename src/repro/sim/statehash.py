@@ -179,7 +179,7 @@ def shared_state_payload(machine: "DSMMachine") -> dict[str, Any]:
     families: dict[str, dict[str, Any]] = {}
     for name, group in machine.groups.items():
         engine = machine.root_engine(name)
-        values = families.setdefault(group.family, {})
+        values = families.setdefault(group.family.name, {})
         for var in (*group.variables, *group.locks):
             authoritative = engine.authoritative_read(var)
             for member in group.members:

@@ -19,6 +19,7 @@ from repro.errors import FaultError
 from repro.faults.campaign import (
     CampaignConfig,
     ChaosConfig,
+    _config_payload,
     failure_signature,
     generate_plan,
     minimize_failure,
@@ -127,6 +128,28 @@ class TestBrokenLeaseAcceptance:
     def test_unreadable_bundle_is_a_fault_error(self, tmp_path):
         with pytest.raises(FaultError, match="unreadable"):
             replay_bundle(tmp_path / "missing")
+
+    @staticmethod
+    def _bundle(tmp_path, config):
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        (tmp_path / "plan.json").write_text(
+            json.dumps(FaultPlan([], seed=0).to_payload())
+        )
+        return tmp_path
+
+    @pytest.mark.parametrize("config", [[], {}, {"system": "gwc"}])
+    def test_config_without_chaos_fields_is_a_fault_error(self, tmp_path, config):
+        """An empty or partial config must not replay the default run."""
+        with pytest.raises(FaultError, match="malformed repro-bundle config"):
+            replay_bundle(self._bundle(tmp_path, config))
+
+    def test_unknown_config_or_params_field_is_a_fault_error(self, tmp_path):
+        config = _config_payload(ChaosConfig(system="gwc"))
+        with pytest.raises(FaultError, match=r"unknown \['speed'\]"):
+            replay_bundle(self._bundle(tmp_path, {**config, "speed": 2}))
+        config["params"] = {"speed": 2}
+        with pytest.raises(FaultError, match="speed"):
+            replay_bundle(self._bundle(tmp_path, config))
 
 
 class TestLocalMinimality:

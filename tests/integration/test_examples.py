@@ -1,9 +1,9 @@
 """Smoke tests: the example scripts must keep running green.
 
 Each example is executed in-process (``runpy``) with stdout captured;
-their internal asserts are the real test.  The two full figure sweeps
-(`task_management.py`, `pipeline_speedup.py`) are exercised through the
-benchmark harness instead and skipped here for suite speed.
+their internal asserts are the real test.  The two figure sweeps
+(`task_management.py`, `pipeline_speedup.py`) are skipped here for
+suite speed; `make examples` (a CI step) runs every script, them too.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ def test_example_runs_clean(script, capsys, monkeypatch):
 
 
 def test_every_example_is_covered_somewhere():
-    """New examples must be added either here or to the bench harness."""
+    """New examples must be added here or to the two run only by
+    `make examples`."""
     known = set(FAST_EXAMPLES) | {"task_management.py", "pipeline_speedup.py"}
     actual = {p.name for p in EXAMPLES.glob("*.py")}
     assert actual <= known, actual - known

@@ -163,7 +163,7 @@ class TestMonitoredRepartition:
                 _locker(node, system, section, increments, 2e-6),
                 name=f"migr-locker{rank}",
             )
-        pmap = machine.partition_map(GROUP)
+        pmap = machine.family(GROUP).pmap
         source = pmap.partition_of(LOCK)
         target = 1 - source
         done: dict = {}
@@ -247,8 +247,8 @@ class TestMigrationGuards:
         nothing in its source aborts the call with the family exactly as
         it was, even when a valid unit of the same source sorts first."""
         machine = _family_after_one_increment()
-        pmap = machine.partition_map(GROUP)
-        groups = machine.family_groups(GROUP)
+        pmap = machine.family(GROUP).pmap
+        groups = machine.family(GROUP).parts
         source = pmap.partition_of(LOCK)
         ghost = _name_in(pmap, source, "zz_ghost")  # sorts after LOCK
 
@@ -272,7 +272,7 @@ class TestMigrationGuards:
         declaration leaves, so a unit still at its initial values hands
         them across instead of failing the lookup."""
         machine = _family()
-        pmap = machine.partition_map(GROUP)
+        pmap = machine.family(GROUP).pmap
         source = pmap.partition_of(LOCK)
         migrate_units(machine, GROUP, {LOCK: 1 - source})
         target = machine.engines_for(GROUP)[1 - source]
@@ -284,7 +284,7 @@ class TestMigrationGuards:
         """A unit that returns to a root it once left is owned there
         again: the next critical section on it completes."""
         machine = _family_after_one_increment()
-        source = machine.partition_map(GROUP).partition_of(LOCK)
+        source = machine.family(GROUP).pmap.partition_of(LOCK)
         migrate_units(machine, GROUP, {LOCK: 1 - source})
         migrate_units(machine, GROUP, {LOCK: source})
         _spawn_locker(machine, make_system("gwc", machine), 2, 1)
@@ -296,7 +296,7 @@ class TestMigrationGuards:
         buffered across a crash and a restart that fast-forwarded the
         epoch) is discarded at the old owner, never sequenced there."""
         machine = _family_after_one_increment()
-        source = machine.partition_map(GROUP).partition_of(LOCK)
+        source = machine.family(GROUP).pmap.partition_of(LOCK)
         migrate_units(machine, GROUP, {LOCK: 1 - source})
         old = machine.engines_for(GROUP)[source]
         sequenced, discards = old.sequenced, old.migration_discards
@@ -362,7 +362,7 @@ def _counter_run(roots, plain: str, handoffs: bool):
         arm_migration_fencing(machine)
         monitor = InvariantMonitor(machine, interval=5.0 * unit, injector=injector)
         monitor.install()
-        source = machine.partition_map(GROUP).partition_of(LOCK)
+        source = machine.family(GROUP).pmap.partition_of(LOCK)
         out["source"] = source
         machine.spawn(
             _migrate_then_crash(
@@ -394,7 +394,7 @@ class TestMigrationThenFailover:
         fails over.  Epochs only rise, the monitor stays quiet, and the
         family ends where a single-root run does."""
         probe = _family()
-        pmap = probe.partition_map(GROUP)
+        pmap = probe.family(GROUP).pmap
         # A plain variable that stays on the source, so the failover
         # has a live name to rebuild and refresh.
         plain = _name_in(pmap, pmap.partition_of(LOCK), "plain")

@@ -139,6 +139,78 @@ class TestPartitionMapProperties:
             pmap.set_override("u", -1)
 
 
+def _assert_family_invariant(machine, family) -> None:
+    """Every declared name lives in exactly one part, that part is the
+    family's ``home`` for it, and every member routes the name there."""
+    declared = [
+        (name, part)
+        for part in family.parts
+        for name in (*part.variables, *part.locks)
+    ]
+    names_seen = [name for name, _part in declared]
+    assert len(names_seen) == len(set(names_seen))
+    for name, part in declared:
+        assert family.home(name) is part
+        for member in part.members:
+            assert machine.nodes[member].iface.group_of(name) is part
+
+
+class TestGroupFamilyProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=4),
+        seeds,
+        st.lists(
+            st.dictionaries(
+                st.sampled_from(["L0", "L1", "L2", "v0", "v1", "v2"]),
+                st.integers(min_value=0, max_value=3),
+                max_size=6,
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_moves_keep_one_home_per_name(self, k, seed, move_sets):
+        """Random ``migrate_units`` move sets, then every unit moved back
+        to its hash partition: after each set the family invariant holds
+        (moves back clear the overrides)."""
+        from repro.core.machine import DSMMachine
+        from repro.memory.repartition import migrate_units
+
+        machine = DSMMachine(n_nodes=4, reliable=True)
+        machine.create_group("g", roots=tuple(range(k)), partition_seed=seed)
+        for i in range(3):
+            machine.declare_variable("g", f"m{i}", 0, mutex_lock=f"L{i}")
+            machine.declare_lock("g", f"L{i}", protects=(f"m{i}",))
+            machine.declare_variable("g", f"v{i}", 0)
+        family = machine.family("g")
+        _assert_family_invariant(machine, family)  # fills the route caches
+        pmap = family.pmap
+        for moves in move_sets:
+            migrate_units(
+                machine, "g", {unit: t % k for unit, t in moves.items()}
+            )
+            _assert_family_invariant(machine, family)
+        migrate_units(
+            machine, "g", {unit: pmap.hash_partition(unit) for unit in pmap.units()}
+        )
+        _assert_family_invariant(machine, family)
+        assert pmap.overrides == {}
+
+    def test_a_group_built_on_its_own_is_a_family_of_one(self):
+        from repro.memory.sharing_group import SharingGroup
+        from repro.net.network import Network
+        from repro.params import MachineParams
+        from repro.sim.kernel import Simulator
+
+        sim = Simulator()
+        network = Network(sim, make_topology("ring", 4), MachineParams())
+        group = SharingGroup("g", network, (0, 1, 2, 3), root=0)
+        assert group.family.name == "g"
+        assert group.family.parts == (group,)
+        assert group.family.home("anything") is group
+
+
 topologies = st.sampled_from(["mesh_torus", "ring", "star", "fully_connected"])
 
 

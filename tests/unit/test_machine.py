@@ -6,7 +6,7 @@ import pytest
 
 from repro.consistency.base import make_system, system_names
 from repro.core.machine import DSMMachine
-from repro.errors import MemoryError_, NetworkError
+from repro.errors import MemoryError_, NetworkError, ReproError
 from repro.net.message import Message
 from repro.sim.waiters import Signal
 
@@ -36,10 +36,8 @@ class TestMachineConstruction:
         machine.create_group("g2", members=(2, 3), root=2)
         machine.declare_variable("g2", "y", 0, mutex_lock="L2")
         machine.declare_lock("g2", "L2", protects=("y",))
-        assert machine.lock_decl("L2").group == "g2"
+        assert machine.group_of_lock("L2").locks["L2"].group == "g2"
         assert machine.group_of_lock("L2").root == 2
-        with pytest.raises(MemoryError_):
-            machine.lock_decl("missing")
         with pytest.raises(MemoryError_):
             machine.group_of_lock("missing")
 
@@ -63,6 +61,62 @@ class TestMachineConstruction:
         machine.spawn(proc(), name="p")
         machine.run()
         assert machine.metrics.elapsed == pytest.approx(5e-6)
+
+
+class TestGroupFamilies:
+    @pytest.mark.parametrize(
+        "create",
+        [
+            # Part 1's name is taken by a group of its own.
+            lambda m: m.create_group("g", roots=(0, 1)),
+            # Part 1's root is not a member.
+            lambda m: m.create_group("g", members=(0, 1, 2), roots=(0, 3)),
+        ],
+        ids=["part_name_taken", "root_not_member"],
+    )
+    def test_rejected_sharded_group_leaves_nothing(self, create):
+        machine = DSMMachine(n_nodes=4)
+        machine.create_group("g@r1", root=1)
+        with pytest.raises(ReproError):
+            create(machine)
+        assert set(machine.groups) == {"g@r1"}
+        assert set(machine.families) == {"g@r1"}
+        for node in machine.nodes:
+            assert set(node.iface.groups) == {"g@r1"}
+            assert "g" not in node.iface.root_engines
+        # The name is free again and the retry works end to end.
+        machine.create_group("g")
+        machine.declare_variable("g", "x", 0)
+        assert machine.family("g").home("x") is machine.groups["g"]
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda m: m.declare_variable("nope", "x", 0),
+            lambda m: m.declare_lock("nope", "L"),
+            lambda m: m.family("nope"),
+            lambda m: m.root_engine("nope"),
+            lambda m: m.engines_for("nope"),
+        ],
+        ids=["declare_variable", "declare_lock", "family", "root_engine",
+             "engines_for"],
+    )
+    def test_unknown_group_is_named(self, entry):
+        machine = DSMMachine(n_nodes=2)
+        machine.create_group("g")
+        with pytest.raises(MemoryError_, match="no group 'nope'"):
+            entry(machine)
+
+    def test_every_group_is_a_family(self):
+        machine = DSMMachine(n_nodes=4)
+        single = machine.create_group("a")
+        machine.create_group("b", roots=(1, 2, 3))
+        assert machine.family("a").parts == (single,)
+        assert single.family is machine.family("a")
+        parts = machine.family("b").parts
+        assert [p.name for p in parts] == ["b", "b@r1", "b@r2"]
+        assert [p.root for p in parts] == [1, 2, 3]
+        assert all(p.family is machine.family("b") for p in parts)
 
 
 class TestSystemRegistry:

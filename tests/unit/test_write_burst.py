@@ -197,7 +197,7 @@ class TestSiblingFlushOrder:
         machine = DSMMachine(n_nodes=4, topology="mesh_torus", params=params)
         machine.create_group("g", roots=(0, 1, 2))  # partition k -> root k
         machine.declare_lock("g", "lk")
-        pmap = machine.partition_map("g")
+        pmap = machine.family("g").pmap
         var_on: dict[int, str] = {}
         for i in range(16):
             machine.declare_variable("g", f"x{i}", initial=0)

@@ -108,7 +108,8 @@ MUTANTS: list[Mutant] = [
     Mutant("signal_fire_reversed", "sim/waiters.py",
            "for callback in waiters:", "for callback in reversed(waiters):"),
     Mutant("sibling_flush_reversed", "memory/interface.py",
-           "for sibling in siblings:", "for sibling in reversed(siblings):"),
+           "for sibling in group.family.parts:",
+           "for sibling in reversed(group.family.parts):"),
     Mutant("rollback_restore_skipped", "locks/optimistic.py",
            "        restore_from_rollback(node, section, saved)\n", "        pass\n"),
     Mutant("hidden_root_lock_read", "locks/optimistic.py",
@@ -187,6 +188,15 @@ MUTANTS: list[Mutant] = [
            ""),
     Mutant("rebuilt_stamp_dropped", "faults/failover.py",
            "rebuilt=True", "rebuilt=False"),
+    # The partitioned-group object: one mutant per duty it owns.
+    Mutant("home_ignores_override", "memory/sharing_group.py",
+           "return self.parts[self.pmap.partition_of(name)]",
+           "return self.parts[self.pmap.hash_partition(self.pmap.unit_of(name))]"),
+    Mutant("move_leaves_variables_on_source", "memory/sharing_group.py",
+           "                dest.variables[name] = replace(\n"
+           "                    source.variables.pop(name), group=dest.name\n"
+           "                )\n",
+           "                pass\n"),
 ]
 
 
