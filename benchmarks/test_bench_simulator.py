@@ -68,7 +68,7 @@ def test_bench_eagersharing_throughput(benchmark):
 
 def test_bench_train_delivery(benchmark):
     """A root ships 16-packet trains to its 7 members — the shape of a
-    sequenced write burst.  The mechanism is checked as a count, not a
+    handoff refresh.  The mechanism is checked as a count, not a
     time: one heap entry per member per train, whatever the host."""
     n_nodes, train_len, rounds = 8, 16, 50
     targets = tuple(range(1, n_nodes))

@@ -27,7 +27,7 @@ from repro.core.node import NodeHandle
 from repro.core.section import Section, SectionOutcome
 from repro.errors import MemoryError_
 from repro.locks.gwc_lock import GwcLockClient, GwcLockManager, LockRetryPolicy
-from repro.memory.interface import ApplyPacket, BurstUpdateRequest, UpdateRequest
+from repro.memory.interface import ApplyPacket, UpdateRequest
 from repro.memory.sharing_group import SharingGroup
 from repro.memory.varspace import LockDecl
 from repro.net.message import Message
@@ -380,53 +380,16 @@ class GroupRootEngine:
         finally:
             self._train_flush()
 
-    def on_update_burst(self, request: BurstUpdateRequest) -> None:
-        """Handle one origin->root multi-write burst packet.
-
-        Each write is sequenced individually, in issue order, through
-        exactly the per-write logic of :meth:`on_update` (lock manager,
-        mutex-data discard, plain sequencing); the resulting run of
-        apply packets ships down the tree as one packet train.
-        """
-        if self.deposed:
-            self.deposed_ignored += 1
-            return
-        if request.epoch != self.epoch:
-            # Every write in the burst was issued into the failover
-            # window; discard them all, one count per write, exactly as
-            # if they had arrived as individual stale updates.
-            self.window_discards += len(request.writes)
-            if self.migrated:
-                self.migration_discards += sum(
-                    var in self.migrated for var, _ in request.writes
-                )
-            if self.sim.trace_enabled:
-                self.sim.tracer.record(
-                    self.sim.now,
-                    "root.window_discarded_burst",
-                    group=self.group.name,
-                    writes=len(request.writes),
-                    origin=request.origin,
-                    epoch=request.epoch,
-                    current=self.epoch,
-                )
-            return
-        self._train_begin()
-        try:
-            for var, value in request.writes:
-                self._handle_write(var, value, request.origin)
-        finally:
-            self._train_flush()
-
     def _handle_write(self, var: str, value: Any, origin: int) -> None:
         """Lock-manage / discard / sequence one current-epoch write."""
         group = self.group
         if var in self.migrated:
-            # A write buffered before an online re-partition moved the
-            # name away, flushed after this member adopted the bumped
-            # epoch.  This root no longer owns the declaration; discard
-            # like any migration-window write (the origin's durable-
-            # write retry re-routes to the new owner).
+            # A current-epoch write for a name an online re-partition
+            # moved away (e.g. issued across a crash and a restart that
+            # fast-forwarded the origin's epoch).  This root no longer
+            # owns the declaration; discard like any migration-window
+            # write (the origin's durable-write retry re-routes to the
+            # new owner).
             self.migration_discards += 1
             return
         if group.is_lock(var):
@@ -643,10 +606,6 @@ class GwcSystem(DsmSystem):
         var: str,
         predicate: Callable[[Any], bool],
     ) -> Generator[Any, Any, Any]:
-        # Blocking on a value is a synchronization boundary: anything
-        # this process buffered must become visible before it sleeps,
-        # or a peer waiting on one of those writes would deadlock.
-        node.iface.flush_write_bursts()
         return (yield from node.store.wait_until(var, predicate))
 
     def section_write(self, node: NodeHandle, var: str, value: Any) -> None:

@@ -108,7 +108,6 @@ class DSMMachine:
                 store,
                 echo_blocking=echo_blocking,
                 nack_timeout=nack_timeout,
-                write_burst=params.write_burst,
             )
             handle = NodeHandle(
                 node_id=node_id,

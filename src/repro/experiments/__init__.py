@@ -18,13 +18,11 @@ from importlib import import_module
 #: Public name -> defining submodule, resolved on first access (PEP 562),
 #: so ``import repro.experiments.figure2`` compiles Figure 2 only.
 _EXPORTS = {
-    "BurstRow": "burst",
     "Figure1Row": "figure1",
     "Figure2Row": "figure2",
     "Figure8Row": "figure8",
     "SCALE_FULL": "common",
     "SCALE_QUICK": "common",
-    "run_burst_sweep": "burst",
     "run_figure1": "figure1",
     "run_figure2": "figure2",
     "run_figure8": "figure8",

@@ -259,6 +259,11 @@ def _render_campaign(files: Files) -> str:
                 f"{len(minimized.plan.events)} event(s) at "
                 f"n_nodes={minimized.n_nodes} ({minimized.probes} probe(s))"
             )
+            if minimized.exhausted:
+                lines.append(
+                    "     probe budget exhausted: the plan reproduces the "
+                    "failure but is not verified 1-minimal"
+                )
         if outcome.bundle_path is not None:
             lines.append(f"     repro bundle: {outcome.bundle_path}")
     lines.append(
@@ -279,7 +284,15 @@ CAMPAIGN = Experiment(
             "every trial passed its online oracles (a red trial is a bug, "
             "not a golden)",
             all(outcome.ok for outcome in files["campaign.csv"]),
-        )
+        ),
+        PaperExpectation(
+            "every minimization finished inside its probe budget",
+            not any(
+                outcome.minimized.exhausted
+                for outcome in files["campaign.csv"]
+                if outcome.minimized is not None
+            ),
+        ),
     ],
     flags=(
         Flag("--trials", "trials", help="chaos trials to run"),

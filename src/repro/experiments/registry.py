@@ -12,7 +12,6 @@ from __future__ import annotations
 from repro.experiments import (
     ablation,
     analytic,
-    burst,
     chaos,
     figure1,
     figure2,
@@ -33,7 +32,6 @@ EXPERIMENTS: tuple[Experiment, ...] = (
     figure2.EXPERIMENT,
     figure8.EXPERIMENT,
     grouping.EXPERIMENT,
-    burst.EXPERIMENT,
     analytic.EXPERIMENT,
     sensitivity.EXPERIMENT,
     ablation.EXPERIMENT,

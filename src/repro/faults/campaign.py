@@ -317,6 +317,10 @@ class CampaignConfig:
             )
         if self.trials < 1:
             raise FaultError(f"campaign needs >= 1 trial (got {self.trials})")
+        if self.probe_budget < 1:
+            raise FaultError(
+                f"minimization needs a probe budget >= 1 (got {self.probe_budget})"
+            )
         if self.n_nodes < 3:
             raise FaultError(
                 f"campaign plans need >= 3 nodes for survivable faults "
@@ -632,6 +636,10 @@ class Minimization:
     n_nodes: int
     probes: int
     original_events: int
+    #: True when the probe budget ran out: the plan still reproduces the
+    #: signature (every accepted reduction was probed), but some
+    #: reductions were refused unprobed, so 1-minimality is unverified.
+    exhausted: bool = False
 
 
 class _Prober:
@@ -647,6 +655,7 @@ class _Prober:
         self.signature = signature
         self.budget = budget
         self.probes = 0
+        self.exhausted = False
         self._cache: dict[tuple[Any, ...], bool] = {}
 
     def fails(self, events: tuple[FaultEvent, ...], n_nodes: int) -> bool:
@@ -656,7 +665,8 @@ class _Prober:
         if self.probes >= self.budget:
             # Budget exhausted: treat as not-failing so the current
             # (known-failing) candidate is kept rather than shrunk on
-            # unverified guesses.
+            # unverified guesses, and say so in the result.
+            self.exhausted = True
             return False
         self.probes += 1
         assert self.config.plan is not None
@@ -767,10 +777,16 @@ def minimize_failure(
     result still fails with the *same* signature.  The returned plan is
     locally minimal at the returned node count: removing any single
     remaining event makes the failure disappear (verified by ddmin's
-    final pass; re-checked after the other phases).
+    final pass; re-checked after the other phases) — unless the result
+    says ``exhausted``: then the budget ran out first, and the plan
+    reproduces the failure but its minimality is unverified.
     """
     if config.plan is None:
         raise FaultError("minimize_failure needs a config with an explicit plan")
+    if probe_budget < 1:
+        raise FaultError(
+            f"minimization needs a probe budget >= 1 (got {probe_budget})"
+        )
     prober = _Prober(config, signature, probe_budget)
     if not prober.fails(config.plan.events, config.n_nodes):
         raise FaultError(
@@ -790,6 +806,7 @@ def minimize_failure(
         n_nodes=n_nodes,
         probes=prober.probes,
         original_events=len(config.plan.events),
+        exhausted=prober.exhausted,
     )
 
 
@@ -861,6 +878,7 @@ def write_bundle(
             "probes": minimized.probes,
             "original_events": minimized.original_events,
             "minimized_events": len(minimized.plan.events),
+            "budget_exhausted": minimized.exhausted,
         },
     )
     run.finalize()

@@ -1,6 +1,6 @@
 """Continuous-verify guardrail for run artifacts.
 
-Every figure, chaos, failover and burst run in this repository
+Every figure, chaos, failover and sharded-root run in this repository
 produces a small set of machine-readable artifacts.  The
 paper's claims live entirely in those artifacts, so refactoring the
 simulator aggressively is only safe if every one of them is

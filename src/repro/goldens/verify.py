@@ -4,8 +4,9 @@ Exit-code contract (asserted by the test suite and relied on by CI):
 
 * ``0`` — clean: every golden surface regenerated bit-identical;
 * ``1`` — drift: at least one artifact changed, a golden is missing, a
-  committed golden fails its own manifest integrity check, or a run
-  could not be generated (its expectations failed);
+  committed golden fails its own manifest integrity check, a run could
+  not be generated (its expectations failed), or — on a full run — a
+  committed goldens directory is claimed by no surface (an orphan);
 * ``2`` — usage: unknown surface name, or an update attempted without
   the :data:`REGEN_ENV` kill-switch.
 
@@ -118,6 +119,18 @@ def _compare_surface(
     return lines
 
 
+def orphan_dirs(root: pathlib.Path, surfaces: tuple[Surface, ...]) -> list[str]:
+    """Directories under ``root`` that no surface in ``surfaces`` claims."""
+    if not root.is_dir():
+        return []
+    claimed = {surface.name for surface in surfaces}
+    return sorted(
+        path.name
+        for path in root.iterdir()
+        if path.is_dir() and path.name not in claimed
+    )
+
+
 def verify_goldens(
     goldens_dir: str | pathlib.Path | None = None,
     only: tuple[str, ...] | None = None,
@@ -126,8 +139,10 @@ def verify_goldens(
     """Regenerate every surface and compare against committed goldens.
 
     Prints one status line per surface and a per-file / per-field diff
-    report for anything that drifted.  Returns an exit code per the
-    module contract.
+    report for anything that drifted.  A full run (no ``only``) also
+    reports every committed directory no surface claims as an ORPHAN:
+    a retired experiment's goldens would otherwise pass unnoticed.
+    Returns an exit code per the module contract.
     """
     root = pathlib.Path(goldens_dir) if goldens_dir else DEFAULT_GOLDENS_DIR
     try:
@@ -159,12 +174,18 @@ def verify_goldens(
                 f"[goldens] {surface.name:<12s} OK "
                 f"({len(fresh.files)} file(s) bit-identical)"
             )
+    orphans = orphan_dirs(root, surfaces) if only is None else []
+    for name in orphans:
+        out(
+            f"[goldens] {name:<12s} ORPHAN (claimed by no surface; "
+            f"delete {root / name} or register its experiment)"
+        )
     clean = len(surfaces) - len(drifted)
     out(f"verify-goldens: {clean}/{len(surfaces)} surface(s) clean")
-    if drifted:
+    if drifted or orphans:
         out(
             "drift detected in: "
-            + ", ".join(drifted)
+            + ", ".join(drifted + orphans)
             + "\ntiming-transparent changes must keep goldens bit-identical;"
             + "\nfor a semantic change run: "
             + f"{REGEN_ENV}=1 make goldens   (and commit the printed diff)"
@@ -247,6 +268,7 @@ __all__ = [
     "EXIT_USAGE",
     "REGEN_ENV",
     "DEFAULT_GOLDENS_DIR",
+    "orphan_dirs",
     "regen_enabled",
     "update_goldens",
     "verify_goldens",

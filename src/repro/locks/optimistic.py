@@ -300,10 +300,6 @@ class OptimisticMutexRunner:
         # (22)-(26) conflict: roll back and retry on the regular path.
         node.metrics.add_time("wasted", ctx.elapsed, end=sim.now)
         node.metrics.count("opt.rollbacks")
-        # Rollback is a synchronization boundary: flush any buffered
-        # speculative writes now, while this node is still a non-holder,
-        # so the root discards them exactly like unbatched speculation.
-        iface.flush_write_bursts()
         restore_cost = node.params.memory_time(section.save_bytes())
         yield from node.busy(restore_cost, kind="overhead")
         restore_from_rollback(node, section, saved)

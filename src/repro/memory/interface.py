@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from types import MethodType
 from typing import Any, Callable
 
 from repro.errors import MemoryError_, SequencingError
@@ -76,32 +77,6 @@ class UpdateRequest:
 
 
 @dataclass(frozen=True, slots=True)
-class BurstUpdateRequest:
-    """Origin -> root packet: a combined burst of shared writes.
-
-    The modeled Sesame hardware transmits *groups* of writes atomically
-    (that is what Group Write Consistency means, §2); with
-    ``write_burst != 1`` the interface combines consecutive plain
-    writes by one processor into a single multi-write update that pays
-    one packet header and one origin->root message for the whole run.
-    The root sequences the writes individually, in issue order, so
-    members observe the same per-write apply stream as unbatched —
-    only later (writes become remotely visible at the flush, not at
-    issue).
-    """
-
-    group: str
-    #: ``(var, value)`` pairs in program (issue) order.  Lock-variable
-    #: writes may appear only as the final entry (the synchronization
-    #: boundary that triggered the flush rides in the same packet).
-    writes: tuple[tuple[str, Any], ...]
-    origin: int
-    #: Sequencer epoch at flush time; same fencing as
-    #: :class:`UpdateRequest`.
-    epoch: int = 0
-
-
-@dataclass(frozen=True, slots=True)
 class ApplyPacket:
     """Root -> member packet: one sequenced shared write."""
 
@@ -147,24 +122,11 @@ class NodeInterface:
         store: LocalStore,
         echo_blocking: bool = True,
         nack_timeout: float | None = None,
-        write_burst: int = 1,
     ) -> None:
         self.sim = sim
         self.network = network
         self.node = node
         self.store = store
-        #: Write-burst combining (see :class:`BurstUpdateRequest` and
-        #: ``MachineParams.write_burst``): 1 = off (every write is its
-        #: own update packet, the paper-calibrated default), k > 1 =
-        #: flush after k buffered writes, 0 = flush only at
-        #: synchronization boundaries.
-        self.write_burst = write_burst
-        #: Per-group burst buffers of pending ``(var, value)`` writes.
-        self._burst: dict[str, list[tuple[str, Any]]] = {}
-        #: Diagnostics: writes that passed through a burst buffer, and
-        #: multi-write update packets actually sent.
-        self.burst_writes = 0
-        self.burst_flushes = 0
         self.filter = HardwareBlockingFilter(node, enabled=echo_blocking)
         self.groups: dict[str, SharingGroup] = {}
         #: var/lock name -> owning joined group (see :meth:`group_of`).
@@ -223,7 +185,6 @@ class NodeInterface:
         self._next_seq.setdefault(group.name, 0)
         self._reorder.setdefault(group.name, {})
         self._epoch.setdefault(group.name, 0)
-        self._burst.setdefault(group.name, [])
         if group.fanout is not None:
             self._relay_mode = True
         for name, value in group.initial_image().items():
@@ -257,29 +218,10 @@ class NodeInterface:
     # ------------------------------------------------------------------
 
     def share_write(self, var: str, value: Any) -> None:
-        """Eagerly share a write: apply locally, forward to the group root.
-
-        With write-burst combining enabled (``write_burst != 1``) plain
-        data writes accumulate in the group's burst buffer instead of
-        each paying an origin->root message; a lock-variable write is a
-        synchronization boundary — it flushes the buffer and rides the
-        resulting update as its final entry, preserving program order
-        on the FIFO channel (so grant-after-data still holds).
-        """
+        """Eagerly share a write: apply locally, forward to the group root."""
         group = self.group_of(var)
         self.store.write(var, value)
-        if self.write_burst == 1:
-            self._forward_to_root(group, var, value)
-            return
-        if group.is_lock(var):
-            self._flush_sibling_bursts(group)
-            self._flush_burst(group, tail=(var, value))
-            return
-        buffer = self._burst[group.name]
-        buffer.append((var, value))
-        self.burst_writes += 1
-        if self.write_burst and len(buffer) >= self.write_burst:
-            self._flush_burst(group)
+        self._forward_to_root(group, var, value)
 
     def atomic_exchange(self, var: str, value: Any) -> Any:
         """Atomically swap the local copy with ``value``; share the write.
@@ -287,121 +229,29 @@ class NodeInterface:
         This is line (04) of Figure 4: requesting the lock and saving the
         previous local lock value access the same memory location within
         one simulator event, so no incoming lock change can interleave.
-        An atomic exchange is a synchronization boundary: any buffered
-        burst writes flush first (same packet), keeping program order.
         """
         group = self.group_of(var)
         old = self.store.read(var)
         self.store.write(var, value)
-        if self.write_burst == 1:
-            self._forward_to_root(group, var, value)
-        else:
-            self._flush_sibling_bursts(group)
-            self._flush_burst(group, tail=(var, value))
+        self._forward_to_root(group, var, value)
         return old
 
-    def flush_write_bursts(self, group_name: str | None = None) -> None:
-        """Flush pending burst buffers (one group, or all of them).
-
-        Called at every synchronization boundary that does not itself
-        write a shared variable: optimistic rollback, insharing
-        suspension, sequencer-epoch adoption, and blocking value waits.
-        A no-op when nothing is buffered (and always with the default
-        ``write_burst=1``, where nothing ever buffers).
-        """
-        if group_name is not None:
-            buffer = self._burst.get(group_name)
-            if buffer:
-                self._flush_burst(self.groups[group_name])
-            return
-        for name, buffer in self._burst.items():
-            if buffer:
-                self._flush_burst(self.groups[name])
-
-    @property
-    def pending_burst_writes(self) -> int:
-        """Buffered writes not yet flushed to any root (diagnostics)."""
-        return sum(len(buffer) for buffer in self._burst.values())
-
-    def _flush_sibling_bursts(self, group: SharingGroup) -> None:
-        """Cross-root atomics rule for sharded-root families.
-
-        A synchronization-boundary write (lock value or atomic
-        exchange) owned by one partition flushes every *sibling*
-        partition's burst buffer first, in ascending partition order,
-        before its own flush carries the boundary write.  Program order
-        is therefore preserved across roots: every buffered write is on
-        the wire to its owning root before the lock value that
-        publishes the critical section leaves this node.
-        """
-        for sibling in group.family.parts:
-            if sibling is not group and self._burst[sibling.name]:
-                self._flush_burst(sibling)
-
-    def _flush_burst(
-        self, group: SharingGroup, tail: tuple[str, Any] | None = None
-    ) -> None:
-        """Send the group's buffered writes as one multi-write update.
-
-        ``tail`` is the boundary write (lock value or atomic exchange)
-        that triggered the flush; it is appended after the buffered
-        writes so the root processes it last, exactly as if every write
-        had crossed the channel individually.  A flush of a single
-        write degenerates to the ordinary :class:`UpdateRequest` path.
-        """
-        buffer = self._burst[group.name]
-        if not buffer:
-            if tail is not None:
-                self._forward_to_root(group, tail[0], tail[1])
-            return
-        writes = list(buffer)
-        buffer.clear()
-        if tail is not None:
-            writes.append(tail)
-        if len(writes) == 1:
-            self._forward_to_root(group, writes[0][0], writes[0][1])
-            return
-        packet_bytes = self.network.params.packet_bytes
-        # One shared header plus every write's declared payload bytes.
-        size = packet_bytes + sum(
-            group.wire_bytes(var, packet_bytes) - packet_bytes
-            for var, _ in writes
-        )
-        request = BurstUpdateRequest(
-            group=group.name,
-            writes=tuple(writes),
-            origin=self.node,
-            epoch=self._outgoing_epoch(group),
-        )
-        self.burst_flushes += 1
-        self.network.send(
-            Message(
-                src=self.node,
-                dst=group.root,
-                kind="gwc.update_burst",
-                payload=request,
-                size_bytes=size,
-            )
-        )
-
-    def _outgoing_epoch(self, group: SharingGroup) -> int:
-        """Epoch stamp + root re-route accounting for one outgoing update."""
-        if self.nack_timeout is None:
-            return 0
-        last = self._last_root.get(group.name)
-        if last != group.root:
-            if last is not None:
-                self.network.stats.rerouted_requests += 1
-            self._last_root[group.name] = group.root
-        return self._epoch[group.name]
-
     def _forward_to_root(self, group: SharingGroup, var: str, value: Any) -> None:
+        epoch = 0
+        if self.nack_timeout is not None:
+            # Epoch stamp + root re-route accounting (root failover).
+            last = self._last_root.get(group.name)
+            if last != group.root:
+                if last is not None:
+                    self.network.stats.rerouted_requests += 1
+                self._last_root[group.name] = group.root
+            epoch = self._epoch[group.name]
         request = UpdateRequest(
             group=group.name,
             var=var,
             value=value,
             origin=self.node,
-            epoch=self._outgoing_epoch(group),
+            epoch=epoch,
         )
         self.network.send(
             Message(
@@ -432,9 +282,6 @@ class NodeInterface:
                 f"node {self.node}: cannot unsubscribe synchronization "
                 f"variable {var!r}"
             )
-        # Ordering: any buffered writes must reach the root before the
-        # subscription change they precede in program order.
-        self.flush_write_bursts(group.name)
         self.network.send(
             Message(
                 src=self.node,
@@ -448,7 +295,6 @@ class NodeInterface:
     def resubscribe(self, var: str) -> None:
         """Resume eagersharing; the root refreshes the current value."""
         group = self.group_of(var)
-        self.flush_write_bursts(group.name)
         self.network.send(
             Message(
                 src=self.node,
@@ -472,8 +318,7 @@ class NodeInterface:
         return len(self._suspended_queue)
 
     def suspend_insharing(self) -> None:
-        """Suspend insharing — a synchronization boundary: flush bursts."""
-        self.flush_write_bursts()
+        """Suspend insharing: incoming packets queue until resumed."""
         self._suspended = True
 
     def resume_insharing(self) -> None:
@@ -545,14 +390,6 @@ class NodeInterface:
                     f"{msg.payload.group!r} it does not root"
                 )
             engine.on_update(msg.payload)
-        elif msg.kind == "gwc.update_burst":
-            engine = self.root_engines.get(msg.payload.group)
-            if engine is None:
-                raise MemoryError_(
-                    f"node {self.node} received a burst update for group "
-                    f"{msg.payload.group!r} it does not root"
-                )
-            engine.on_update_burst(msg.payload)
         elif msg.kind == "gwc.nack":
             group_name, from_seq, member = msg.payload
             engine = self.root_engines.get(group_name)
@@ -687,13 +524,7 @@ class NodeInterface:
         epoch this member missed.  A gap *within* the new epoch is
         recovered by the ordinary NACK path — the new root's history
         starts at ``epoch_start``.
-
-        Buffered burst writes flush *before* the epoch switches: they
-        were issued under the old sequencer, and stamping them with the
-        old epoch makes the new root window-discard them exactly like
-        unbatched writes that were already in flight at failover.
         """
-        self.flush_write_bursts(group)
         self._epoch[group] = epoch
         reorder = self._reorder[group]
         if reorder:
@@ -899,8 +730,12 @@ def apply_cohort(cohort: tuple) -> None:
             or iface.nack_timeout is not None
             or (echo and origin == iface.node)
             or (is_lock and var in iface._interrupts)
-            or "_process" in iface.__dict__
-            or "write" in store.__dict__
+            # An instance override is a plain function, not a bound
+            # method.  (Probing ``__dict__`` instead would materialize the
+            # instance dict, after which CPython 3.11 misses its fast
+            # attribute path on every later load from that instance.)
+            or type(iface._process) is not MethodType
+            or type(store.write) is not MethodType
         ):
             iface._process(packet)
             continue

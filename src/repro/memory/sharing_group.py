@@ -164,8 +164,8 @@ class GroupFamily:
 
     Part 0 keeps the family's name, part k is ``{name}@r{k}``; all
     parts share the members, each has its own root, sequencer and epoch.
-    The partition map decides which part declares every name, and the
-    part order is the sibling order of the cross-root flush rule.
+    The partition map decides which part declares every name, and
+    ``parts[k]`` is partition ``k``.
     """
 
     def __init__(

@@ -122,8 +122,8 @@ class MulticastTree:
         times, stats, and delivery order — but consecutive packets whose
         FIFO-clamped arrivals coincide share one heap event per member
         (see :meth:`Network.send_fanout_train`).  This is how the root
-        ships a sequenced burst of writes without multiplying simulator
-        events by the burst length.
+        ships a run of sequenced writes (a lease chain, a handoff
+        refresh) without multiplying simulator events by its length.
         """
         targets = self._fanout_targets if include_root else self._nonroot_targets
         self.network.send_fanout_train(self.root, targets, kind, payloads, sizes)

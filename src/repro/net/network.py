@@ -448,7 +448,7 @@ class Network:
         :func:`~repro.net.message.fire_train`) instead of one event
         each.  Messages sent back-to-back at the same instant on a FIFO
         channel arrive together whenever no later message is larger
-        than the running maximum, so a k-burst of same-size updates
+        than the running maximum, so a run of k same-size updates
         collapses to a single delivery event per member.
 
         Loss-model, fault-injection, and tracing runs take the plain

@@ -54,17 +54,6 @@ class MachineParams:
     #: overlapping groups into one global group can prevent scaling in
     #: large networks by overloading the global root").
     interface_service_time: float = 0.0
-    #: Write-burst combining at the sharing interface (the Sesame
-    #: hardware transmits *groups* of writes atomically — that is what
-    #: Group Write Consistency means).  ``1`` (the default) forwards
-    #: every eagerly shared write to the group root as its own update
-    #: packet, exactly the behaviour all paper figures were calibrated
-    #: against.  ``k > 1`` accumulates up to ``k`` consecutive plain
-    #: writes per group into one multi-write update flushed at the
-    #: burst size or at any synchronization boundary (lock traffic,
-    #: atomic exchange, insharing suspension, epoch change, value
-    #: waits).  ``0`` means unbounded: flush only at boundaries.
-    write_burst: int = 1
 
     def __post_init__(self) -> None:
         if self.cpu_flops <= 0:
@@ -84,10 +73,6 @@ class MachineParams:
         if self.interface_service_time < 0:
             raise ExperimentError(
                 f"interface_service_time must be >= 0: {self.interface_service_time}"
-            )
-        if self.write_burst < 0:
-            raise ExperimentError(
-                f"write_burst must be >= 0 (0 = unbounded): {self.write_burst}"
             )
 
     @property

@@ -144,14 +144,12 @@ def _durable_write(
     re-routed copy lands at the new owning root.
     """
     yield from system.write(node, var, value)
-    node.iface.flush_write_bursts()
     waits = 0
     while node.iface._applied.get(var) != value:
         yield settle
         waits += 1
         if waits % 8 == 0:
             yield from system.write(node, var, value)
-            node.iface.flush_write_bursts()
         if waits > 100_000:
             raise WorkloadError(f"durable write of {var!r} never applied")
 

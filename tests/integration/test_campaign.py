@@ -10,16 +10,22 @@ bundle must replay to the identical failure.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro import cli
 from repro.errors import FaultError
+from repro.experiments.chaos import CAMPAIGN
+from repro.faults import campaign as campaign_mod
 from repro.faults.campaign import (
     CampaignConfig,
     ChaosConfig,
+    TrialOutcome,
     _config_payload,
+    campaign_trials,
     failure_signature,
     generate_plan,
     minimize_failure,
@@ -27,9 +33,11 @@ from repro.faults.campaign import (
     replay_bundle,
     run_campaign,
     smoke_config,
+    write_bundle,
 )
 from repro.faults.chaos import run_chaos
 from repro.faults.plan import FaultPlan, crash, delay, duplicate
+from repro.params import PAPER_PARAMS
 from repro.workloads import counter as counter_wl
 
 UNIT = recovery_unit(6)
@@ -150,6 +158,10 @@ class TestBrokenLeaseAcceptance:
         config["params"] = {"speed": 2}
         with pytest.raises(FaultError, match="speed"):
             replay_bundle(self._bundle(tmp_path, config))
+        # A bundle written while MachineParams still had write_burst.
+        config["params"] = {**dataclasses.asdict(PAPER_PARAMS), "write_burst": 4}
+        with pytest.raises(FaultError, match="write_burst"):
+            replay_bundle(self._bundle(tmp_path, config))
 
 
 class TestLocalMinimality:
@@ -210,6 +222,95 @@ class TestLocalMinimality:
         )
         with pytest.raises(FaultError, match="does not reproduce"):
             minimize_failure(config, ("stall",))
+
+
+class TestMinimizerBudget:
+    """An exhausted probe budget is reported, never silent.
+
+    ``run_chaos`` / ``failure_signature`` are replaced by a predicate:
+    a plan "fails" iff it still holds both NEEDED events, so no real
+    failing run is needed.
+    """
+
+    EVENTS = tuple(
+        duplicate(t * UNIT, until=(t + 1) * UNIT, probability=0.5)
+        for t in range(1, 7)
+    )
+    NEEDED = {EVENTS[1], EVENTS[4]}
+
+    @pytest.fixture
+    def probes(self, monkeypatch):
+        seen = []
+
+        def fake_run(config):
+            seen.append(config.plan.events)
+            return config
+
+        monkeypatch.setattr(campaign_mod, "run_chaos", fake_run)
+        monkeypatch.setattr(
+            campaign_mod,
+            "failure_signature",
+            lambda config: (
+                ("stall",) if self.NEEDED <= set(config.plan.events) else None
+            ),
+        )
+        return seen
+
+    def _config(self):
+        return ChaosConfig(
+            system="gwc",
+            scenario="campaign:wire",
+            seed=0,
+            plan=FaultPlan(self.EVENTS, seed=0),
+            oracles=True,
+        )
+
+    def test_ample_budget_verifies_and_is_not_exhausted(self, probes):
+        minimized = minimize_failure(self._config(), ("stall",), probe_budget=400)
+        assert set(minimized.plan.events) == self.NEEDED
+        assert not minimized.exhausted
+        assert minimized.probes == len(probes) < 400
+
+    def test_exhausted_budget_is_recorded(self, probes):
+        minimized = minimize_failure(self._config(), ("stall",), probe_budget=3)
+        assert minimized.exhausted
+        assert minimized.probes == len(probes) == 3
+        # Every accepted reduction was probed: the plan still fails.
+        assert self.NEEDED <= set(minimized.plan.events)
+        assert len(minimized.plan.events) > len(self.NEEDED)
+
+    def test_budget_below_one_is_rejected_before_any_probe(self, probes):
+        with pytest.raises(FaultError, match="probe budget >= 1"):
+            minimize_failure(self._config(), ("stall",), probe_budget=0)
+        assert probes == []
+        with pytest.raises(FaultError, match="probe budget >= 1"):
+            CampaignConfig(probe_budget=0).validate()
+
+    def test_exhaustion_reaches_bundle_table_and_exit_code(self, probes, tmp_path):
+        minimized = minimize_failure(self._config(), ("stall",), probe_budget=3)
+        trial = campaign_trials(smoke_config())[0]
+        result = SimpleNamespace(
+            oracle=None, stall="stalled", invariant_errors=(), oracle_evidence=()
+        )
+        oracle = json.loads(
+            (write_bundle(tmp_path, trial, minimized, result) / "oracle.json")
+            .read_text()
+        )
+        assert oracle["budget_exhausted"] is True
+        files = {
+            "campaign.csv": [
+                TrialOutcome(
+                    trial=trial, ok=False, signature=("stall",),
+                    detail="stalled", row={}, minimized=minimized,
+                )
+            ]
+        }
+        assert "probe budget exhausted" in CAMPAIGN.render(files)
+        budget = [
+            check for check in CAMPAIGN.expectations(files)
+            if "probe budget" in check.claim
+        ]
+        assert [check.holds for check in budget] == [False]
 
 
 class TestCampaignCli:

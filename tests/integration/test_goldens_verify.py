@@ -24,8 +24,8 @@ import pytest
 from repro import cli
 from repro.experiments.registry import EXPERIMENTS
 from repro.goldens.manifest import MANIFEST_NAME, manifest_errors
-from repro.goldens.surfaces import SURFACES_BY_NAME, surface_names
-from repro.goldens.verify import update_goldens, verify_goldens
+from repro.goldens.surfaces import SURFACES, SURFACES_BY_NAME, surface_names
+from repro.goldens.verify import orphan_dirs, update_goldens, verify_goldens
 from repro.goldens.writer import RunWriter
 
 #: Fast surfaces used for the round-trip flow tests.
@@ -124,6 +124,42 @@ class TestRoundTrip:
         assert verify_goldens(tmp_path, only=("figure1",), out=lambda _l: None) == 0
 
 
+class TestOrphanedGoldens:
+    """A committed goldens directory that no surface claims (a retired
+    experiment's) is drift on a full run, never a silent pass."""
+
+    @pytest.fixture
+    def tree(self, tmp_path, monkeypatch):
+        _update(tmp_path, only=("figure1",))
+        # A full run over figure1 alone keeps the test fast.
+        monkeypatch.setattr(
+            "repro.goldens.verify.get_surfaces",
+            lambda only: (SURFACES_BY_NAME["figure1"],) if only is None else None,
+        )
+        return tmp_path
+
+    def test_full_run_reports_orphan_and_fails(self, tree):
+        orphan = tree / "retired"
+        orphan.mkdir()
+        (orphan / "retired.csv").write_text("k,v\n1,2\n")
+        lines = []
+        assert verify_goldens(tree, out=lines.append) == 1
+        assert [line for line in lines if "ORPHAN" in line] == [
+            f"[goldens] retired      ORPHAN (claimed by no surface; "
+            f"delete {orphan} or register its experiment)"
+        ]
+        assert "verify-goldens: 1/1 surface(s) clean" in lines
+        assert any(line.startswith("drift detected in: retired") for line in lines)
+
+    def test_full_run_without_orphans_is_clean(self, tree):
+        assert verify_goldens(tree, out=lambda _l: None) == 0
+
+    def test_only_run_ignores_unclaimed_directories(self, tmp_path):
+        _update(tmp_path, only=("figure1",))
+        (tmp_path / "retired").mkdir()
+        assert verify_goldens(tmp_path, only=("figure1",), out=lambda _l: None) == 0
+
+
 class TestDeterminism:
     """Back-to-back runs per seed must produce byte-identical artifacts."""
 
@@ -163,6 +199,9 @@ class TestCommittedGoldens:
             goldens, only=("figure1", "replication"), out=lines.append
         )
         assert code == 0, "\n".join(lines)
+
+    def test_committed_tree_has_no_orphans(self):
+        assert orphan_dirs(REPO_ROOT / "goldens", SURFACES) == []
 
     def test_committed_manifests_are_internally_consistent(self):
         goldens = REPO_ROOT / "goldens"

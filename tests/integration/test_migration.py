@@ -26,7 +26,7 @@ from repro.faults.failover import RootFailoverManager
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.locks.gwc_lock import LockRetryPolicy
-from repro.memory.interface import BurstUpdateRequest, UpdateRequest
+from repro.memory.interface import UpdateRequest
 from repro.memory.repartition import arm_migration_fencing, migrate_units
 from repro.memory.varspace import FREE_VALUE, request_value
 from repro.sim.statehash import shared_state_hash
@@ -292,9 +292,9 @@ class TestMigrationGuards:
         assert machine.engines_for(GROUP)[source].authoritative_read(COUNTER) == 2
 
     def test_old_owner_never_sequences_a_moved_name(self):
-        """A current-epoch write for a name that migrated away (a burst
-        buffered across a crash and a restart that fast-forwarded the
-        epoch) is discarded at the old owner, never sequenced there."""
+        """A current-epoch write for a name that migrated away (issued
+        across a crash and a restart that fast-forwarded the epoch) is
+        discarded at the old owner, never sequenced there."""
         machine = _family_after_one_increment()
         source = machine.family(GROUP).pmap.partition_of(LOCK)
         migrate_units(machine, GROUP, {LOCK: 1 - source})
@@ -306,16 +306,14 @@ class TestMigrationGuards:
                 epoch=old.epoch,
             )
         )
-        old.on_update_burst(
-            BurstUpdateRequest(
-                group=old.group.name,
-                writes=((COUNTER, 2), (LOCK, request_value(1))),
-                origin=1,
-                epoch=old.epoch,
+        old.on_update(
+            UpdateRequest(
+                group=old.group.name, var=LOCK, value=request_value(1),
+                origin=1, epoch=old.epoch,
             )
         )
         assert old.sequenced == sequenced
-        assert old.migration_discards == discards + 3
+        assert old.migration_discards == discards + 2
 
 
 PLAIN_ROUNDS = 12

@@ -104,7 +104,7 @@ class TestCrossRootAtomics:
     def test_locked_sections_with_remote_partitions(self):
         """Lockers whose tallies live on different roots still produce
         unbroken RMW chains (verified inside run_rootshard) and exact
-        final tallies — the sync-boundary sibling flush holds."""
+        final tallies — each lock shares a root with the data it guards."""
         sharded = _run(roots=3, n_locks=3, n_lockers=6, increments=3)
         assert sharded.extra["correct"]
 

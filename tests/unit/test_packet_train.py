@@ -428,16 +428,34 @@ class TestCohortInterleavingProperty:
         assert stats_a == stats_b
 
 
-class TestBurstSweepTraceTransparency:
+class TestTrainPathTraceTransparency:
     """Whole-run parity: a traced run takes the per-message fallback in
-    ``send_fanout_train``, and must still report the very same floats."""
+    ``send_fanout_train``, and must still report the very same rows.
+
+    ``failover`` ships its takeover refreshes and ``sharded_root`` its
+    handoff refreshes as multi-packet trains.  The failover run has a
+    fault injector attached, so its trains take the per-message path
+    either way; ``sharded_root`` is where the train path engages.
+    """
 
     def test_rows_equal_on_train_path_and_traced_fallback(self, monkeypatch):
-        from repro.experiments.burst import EXPERIMENT, run_burst_sweep
+        import repro.net.network as network
+        from repro.experiments.registry import BY_NAME
         from repro.sim.trace import Tracer
 
-        on_trains = run_burst_sweep(**EXPERIMENT.quick)
+        experiments = [BY_NAME["failover"], BY_NAME["sharded_root"]]
+        engaged = []
+
+        def counting_fire_train(arg):
+            engaged.append(len(arg[1]))
+            fire_train(arg)
+
+        monkeypatch.setattr(network, "fire_train", counting_fire_train)
+        on_trains = [exp.run(**exp.quick) for exp in experiments]
+        assert max(engaged, default=0) >= 2, "no multi-packet train engaged"
+        trains_untraced = len(engaged)
         # Every Simulator built without a tracer now gets an enabled one.
         monkeypatch.setattr("repro.sim.kernel.NullTracer", Tracer)
-        traced = run_burst_sweep(**EXPERIMENT.quick)
+        traced = [exp.run(**exp.quick) for exp in experiments]
+        assert len(engaged) == trains_untraced  # the fallback really ran
         assert traced == on_trains

@@ -179,7 +179,7 @@ class TestLazyPackageExports:
             "from repro.experiments import run_figure2\n"
             "loaded = [m for m in ('stencil', 'lock_bench', 'scenarios', 'synthetic')\n"
             "          if 'repro.workloads.' + m in sys.modules]\n"
-            "loaded += [m for m in ('burst', 'figure1', 'figure8')\n"
+            "loaded += [m for m in ('grouping', 'figure1', 'figure8')\n"
             "           if 'repro.experiments.' + m in sys.modules]\n"
             "print(loaded)\n"
         )

@@ -92,10 +92,6 @@ MUTANTS: list[Mutant] = [
     Mutant("root_epoch_fence_skipped", "consistency/gwc.py",
            "if request.epoch != self.epoch:\n            # Issued into",
            "if False:\n            # Issued into"),
-    Mutant("burst_flush_tail_first", "memory/interface.py",
-           "writes.append(tail)", "writes.insert(0, tail)"),
-    Mutant("burst_writes_reversed", "consistency/gwc.py",
-           "in request.writes:", "in reversed(request.writes):"),
     Mutant("root_keeps_nonholder_writes", "consistency/gwc.py",
            "if not manager.holds(origin):", "if False:"),
     Mutant("echo_filter_never_drops", "memory/interface.py",
@@ -107,9 +103,6 @@ MUTANTS: list[Mutant] = [
            "self._suspended_queue.popleft()", "self._suspended_queue.pop()"),
     Mutant("signal_fire_reversed", "sim/waiters.py",
            "for callback in waiters:", "for callback in reversed(waiters):"),
-    Mutant("sibling_flush_reversed", "memory/interface.py",
-           "for sibling in group.family.parts:",
-           "for sibling in reversed(group.family.parts):"),
     Mutant("rollback_restore_skipped", "locks/optimistic.py",
            "        restore_from_rollback(node, section, saved)\n", "        pass\n"),
     Mutant("hidden_root_lock_read", "locks/optimistic.py",
@@ -180,8 +173,8 @@ MUTANTS: list[Mutant] = [
     Mutant("group_caches_not_forgotten", "memory/repartition.py",
            "machine.nodes[member].iface.forget_group_of(moved_tuple)", "pass"),
     Mutant("old_epoch_migrated_write_sequenced", "consistency/gwc.py",
-           "if var in self.migrated:\n            # A write buffered",
-           "if False:\n            # A write buffered"),
+           "if var in self.migrated:\n            # A current-epoch",
+           "if False:\n            # A current-epoch"),
     Mutant("confirm_release_bypassed", "consistency/gwc.py",
            "        if self.machine.migration_fencing:\n"
            "            yield from self._confirm_release(node, lock)\n",
