@@ -6,7 +6,7 @@ profiles, runs N trials across systems x topologies, holds every trial
 to the online oracles of :mod:`repro.consistency.oracles`, and — when a
 trial fails — delta-debugs the fault plan down to a 1-minimal failing
 schedule and writes a reproducible repro bundle through the atomic
-:class:`~repro.goldens.writer.RunWriter` protocol.
+directory writer :func:`~repro.goldens.writer.write_run`.
 
 Three layers:
 
@@ -78,9 +78,6 @@ CRASH_FREE_PROFILES = ("splitbrain", "wire")
 
 #: Probe budget for one minimization (each probe is a full chaos run).
 DEFAULT_PROBE_BUDGET = 400
-
-#: Repro bundles are written under this surface label.
-BUNDLE_SURFACE = "campaign-repro"
 
 
 def recovery_unit(
@@ -849,7 +846,7 @@ def write_bundle(
     minimized: Minimization,
     result: ChaosResult,
 ) -> pathlib.Path:
-    """Write one failing trial's repro bundle (atomic, manifest last).
+    """Write one failing trial's repro bundle (atomic: all files or none).
 
     The bundle is self-contained: ``config.json`` + ``plan.json``
     rebuild the exact failing run (:func:`replay_bundle`), and
@@ -858,18 +855,16 @@ def write_bundle(
     """
     # Imported here: the goldens package enumerates the experiment
     # registry, which declares the campaign experiment from this module.
-    from repro.goldens.writer import RunWriter
+    from repro.experiments.common import artefact_text
+    from repro.goldens.writer import write_run
 
-    directory = pathlib.Path(directory)
-    run = RunWriter(directory, BUNDLE_SURFACE)
     config = dataclasses.replace(
         trial.config, n_nodes=minimized.n_nodes, plan=None
     )
-    run.write_json("config.json", _config_payload(config))
-    run.write_json("plan.json", minimized.plan.to_payload())
-    run.write_json(
-        "oracle.json",
-        {
+    payloads = {
+        "config.json": _config_payload(config),
+        "plan.json": minimized.plan.to_payload(),
+        "oracle.json": {
             "signature": list(minimized.signature),
             "oracle": result.oracle,
             "stall": result.stall,
@@ -880,9 +875,11 @@ def write_bundle(
             "minimized_events": len(minimized.plan.events),
             "budget_exhausted": minimized.exhausted,
         },
+    }
+    return write_run(
+        directory,
+        {name: artefact_text(name, payload) for name, payload in payloads.items()},
     )
-    run.finalize()
-    return directory
 
 
 def replay_bundle(directory: str | pathlib.Path) -> ChaosResult:
@@ -901,7 +898,6 @@ def replay_bundle(directory: str | pathlib.Path) -> ChaosResult:
 
 
 __all__ = [
-    "BUNDLE_SURFACE",
     "CRASH_FREE_PROFILES",
     "CampaignConfig",
     "CampaignResult",

@@ -1,9 +1,9 @@
 """Per-file and per-field drift reports.
 
 When the drift gate fails, the report must say *what* moved, not just
-that a hash changed: which file, which JSON field or CSV cell, golden
-value vs current value.  That is what makes the gate reviewable — a
-semantic PR pastes this report next to the regenerated goldens.
+that the bytes differ: which JSON field or CSV cell, golden value vs
+current value.  That is what makes the gate reviewable — a semantic PR
+pastes this report next to the regenerated goldens.
 """
 
 from __future__ import annotations
@@ -11,11 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-import pathlib
 from typing import Any
-
-from repro.errors import ExperimentError
-from repro.goldens.scrub import canonical_payload
 
 #: Cap per-file reports so a wholesale rewrite stays readable.
 MAX_DIFFS_PER_FILE = 20
@@ -108,30 +104,41 @@ def _diff_text(golden_text: str, current_text: str, out: list[str]) -> None:
             out.append(f"line {number}: golden {line_g!r} != current {line_c!r}")
 
 
-def diff_artifacts(
-    golden_path: str | pathlib.Path,
-    current_path: str | pathlib.Path,
-) -> list[str]:
+def _parse(name: str, side: str, data: bytes) -> Any:
+    """One side's content: a JSON payload for ``.json``, else its text."""
+    is_json = name.endswith(".json")
+    try:
+        text = data.decode("utf-8")
+        return json.loads(text) if is_json else text
+    except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
+        kind = "JSON" if is_json else "UTF-8 text"
+        raise ValueError(
+            f"{side} {name}: not valid {kind} (truncated artifact?): {exc}"
+        ) from None
+
+
+def diff_artifacts(name: str, golden: bytes, current: bytes) -> list[str]:
     """Per-field differences between a golden artifact and a fresh one.
 
     JSON files are compared as parsed payloads; CSV files cell by cell
     with header-named columns; anything else line by line.  Returns
     human-readable lines, capped at :data:`MAX_DIFFS_PER_FILE` (with a
-    trailing elision marker).
+    trailing elision marker).  Differences the parse hides, such as
+    line endings or JSON spacing, yield no line: the caller's byte
+    compare reports those.
     """
-    golden_path = pathlib.Path(golden_path)
     try:
-        golden = canonical_payload(golden_path)
-        current = canonical_payload(current_path)
-    except ExperimentError as exc:
+        golden_payload = _parse(name, "golden", golden)
+        current_payload = _parse(name, "current", current)
+    except ValueError as exc:
         return [str(exc)]
     out: list[str] = []
-    if golden_path.suffix == ".json":
-        _diff_payload("", golden, current, out)
-    elif golden_path.suffix == ".csv":
-        _diff_csv(golden, current, out)
+    if name.endswith(".json"):
+        _diff_payload("", golden_payload, current_payload, out)
+    elif name.endswith(".csv"):
+        _diff_csv(golden_payload, current_payload, out)
     else:
-        _diff_text(golden, current, out)
+        _diff_text(golden_payload, current_payload, out)
     if len(out) > MAX_DIFFS_PER_FILE:
         extra = len(out) - MAX_DIFFS_PER_FILE
         out = out[:MAX_DIFFS_PER_FILE] + [f"... ({extra} more difference(s))"]

@@ -1,12 +1,13 @@
 """The artifact-producing surfaces covered by goldens.
 
 A *surface* is one reproducible artifact set, and every surface is
-derived from the experiment registry: it writes what
-``experiment.run(**experiment.quick)`` returns through a crash-safe
-:class:`RunWriter`.  The presets pin every scale explicitly — never
-environment-dependent defaults (``REPRO_FULL``) — so two runs on any
-two hosts produce byte-identical files, and a run whose expectations
-fail is refused rather than snapshotted.
+derived from the experiment registry: it renders what
+``experiment.run(**experiment.quick)`` returns, in memory, as the
+``{file name: text}`` its golden directory holds.  The presets pin
+every scale explicitly — never environment-dependent defaults
+(``REPRO_FULL``) — so two runs on any two hosts produce byte-identical
+files, and a run whose expectations fail is refused rather than
+snapshotted.
 
 Everything recorded here is simulated-time deterministic; wall-clock
 measurements live in the benchmark (``BENCHMARK.json``), never in a
@@ -22,7 +23,6 @@ from typing import Callable
 from repro.errors import ExperimentError
 from repro.experiments.common import Experiment, artefact_text
 from repro.experiments.registry import EXPERIMENTS
-from repro.goldens.writer import RunWriter
 
 #: Repository root (src layout: src/repro/goldens/surfaces.py -> root).
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[3]
@@ -33,13 +33,13 @@ class Surface:
     """One golden-covered artifact surface."""
 
     name: str
-    generate: Callable[[RunWriter], None]
+    generate: Callable[[], dict[str, str]]
 
 
 def _experiment_surface(experiment: Experiment) -> Surface:
     """The surface that snapshots ``experiment`` at its quick preset."""
 
-    def generate(run: RunWriter) -> None:
+    def generate() -> dict[str, str]:
         files = experiment.run(**experiment.quick)
         failed = [
             check.claim
@@ -51,8 +51,9 @@ def _experiment_surface(experiment: Experiment) -> Surface:
                 f"{experiment.name}: refusing to snapshot a run whose "
                 f"expectation(s) failed: {'; '.join(failed)}"
             )
-        for name, content in files.items():
-            run.write_text(name, artefact_text(name, content))
+        return {
+            name: artefact_text(name, content) for name, content in files.items()
+        }
 
     return Surface(experiment.name, generate)
 

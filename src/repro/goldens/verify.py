@@ -2,11 +2,12 @@
 
 Exit-code contract (asserted by the test suite and relied on by CI):
 
-* ``0`` — clean: every golden surface regenerated bit-identical;
-* ``1`` — drift: at least one artifact changed, a golden is missing, a
-  committed golden fails its own manifest integrity check, a run could
-  not be generated (its expectations failed), or — on a full run — a
-  committed goldens directory is claimed by no surface (an orphan);
+* ``0`` — clean: every golden surface regenerated byte-identical;
+* ``1`` — drift: a file's bytes changed, a golden file is missing or
+  stray, a surface has no golden directory, a run could not be
+  generated (its expectations failed), or — on a full run — a committed
+  goldens directory is claimed by no surface (an orphan, such as the
+  ``.tmp-*`` leftover of an interrupted update);
 * ``2`` — usage: unknown surface name, or an update attempted without
   the :data:`REGEN_ENV` kill-switch.
 
@@ -21,20 +22,12 @@ from __future__ import annotations
 
 import os
 import pathlib
-import tempfile
 from typing import Callable
 
 from repro.errors import ReproError
 from repro.goldens.diff import diff_artifacts
-from repro.goldens.manifest import (
-    MANIFEST_NAME,
-    Manifest,
-    load_manifest,
-    manifest_errors,
-)
-from repro.goldens.scrub import canonical_file_hash
 from repro.goldens.surfaces import REPO_ROOT, Surface, get_surfaces
-from repro.goldens.writer import RunWriter
+from repro.goldens.writer import write_run
 
 EXIT_CLEAN = 0
 EXIT_DRIFT = 1
@@ -55,67 +48,45 @@ def regen_enabled(environ: dict[str, str] | None = None) -> bool:
     return env.get(REGEN_ENV, "") not in ("", "0")
 
 
-def _generate_into(
-    surface: Surface, directory: pathlib.Path, out: Out
-) -> Manifest | None:
-    """Run one surface's generator crash-safely into ``directory``.
+def _generate(surface: Surface, out: Out) -> dict[str, str] | None:
+    """One surface's fresh files, ``{name: text}``.
 
     ``None`` (after an ERROR line) when the run cannot be generated —
     e.g. one of its expectations failed: a broken run is never a golden.
     """
-    run = RunWriter(directory, surface.name, out=out)
     try:
-        surface.generate(run)
+        return surface.generate()
     except ReproError as exc:
         out(f"[goldens] {surface.name:<12s} ERROR {exc}")
         return None
-    return run.finalize()
 
 
-def _compare_surface(
-    surface: Surface,
-    golden_dir: pathlib.Path,
-    fresh_dir: pathlib.Path,
-    fresh: Manifest,
-    out: Out,
-) -> list[str]:
-    """Diff a fresh run against the committed goldens for one surface.
+def _compare_surface(golden_dir: pathlib.Path, fresh: dict[str, str]) -> list[str]:
+    """Drift lines for one surface (empty = byte-identical).
 
-    Returns drift lines (empty = bit-identical).  Integrity problems in
-    the committed goldens themselves (truncation, single-byte edits) are
-    reported alongside the per-field diff: the comparison hashes the
-    golden files **as they are on disk**, not as the manifest remembers
-    them, so a tampered golden can never hide behind a stale manifest
-    entry that happens to match the fresh run.
+    First the file sets, then each common file's bytes as they are on
+    disk; a byte mismatch is followed by its per-field diff.
     """
+    committed = {path.name for path in golden_dir.iterdir()}
     lines = [
-        f"golden integrity: {problem}"
-        for problem in manifest_errors(golden_dir)
+        f"{name}: in goldens but no longer generated"
+        for name in sorted(committed - set(fresh))
+    ] + [
+        f"{name}: newly generated, not in goldens"
+        for name in sorted(set(fresh) - committed)
     ]
-    try:
-        golden = load_manifest(golden_dir)
-    except ReproError:
-        return lines  # no manifest: integrity lines already say so
-    for name in sorted(set(golden.files) | set(fresh.files)):
-        if name not in fresh.files:
-            lines.append(f"{name}: in goldens but no longer generated")
+    for name in sorted(committed & set(fresh)):
+        golden = (golden_dir / name).read_bytes()
+        current = fresh[name].encode("utf-8")
+        if golden == current:
             continue
-        if name not in golden.files:
-            lines.append(f"{name}: newly generated, not in goldens")
-            continue
-        golden_path = golden_dir / name
-        if not golden_path.is_file():
-            continue  # integrity lines already flagged the absence
-        try:
-            disk_hash = canonical_file_hash(golden_path)
-        except ReproError as exc:
-            lines.append(f"{name}: unreadable golden ({exc})")
-            continue
-        if disk_hash == fresh.files[name].sha256:
-            continue
-        lines.append(f"{name}: canonical sha256 drifted")
-        for field_line in diff_artifacts(golden_path, fresh_dir / name):
-            lines.append(f"  {field_line}")
+        lines.append(
+            f"{name}: bytes differ ({len(golden)} golden vs {len(current)} current)"
+        )
+        fields = diff_artifacts(name, golden, current) or [
+            "no field differs: line endings or spacing only"
+        ]
+        lines.extend(f"  {line}" for line in fields)
     return lines
 
 
@@ -157,13 +128,11 @@ def verify_goldens(
             out(f"[goldens] {surface.name:<12s} MISSING (no committed goldens)")
             drifted.append(surface.name)
             continue
-        with tempfile.TemporaryDirectory(prefix="goldens-") as tmp:
-            fresh_dir = pathlib.Path(tmp) / surface.name
-            fresh = _generate_into(surface, fresh_dir, out)
-            if fresh is None:
-                drifted.append(surface.name)
-                continue
-            lines = _compare_surface(surface, golden_dir, fresh_dir, fresh, out)
+        fresh = _generate(surface, out)
+        if fresh is None:
+            drifted.append(surface.name)
+            continue
+        lines = _compare_surface(golden_dir, fresh)
         if lines:
             out(f"[goldens] {surface.name:<12s} DRIFT")
             for line in lines:
@@ -172,7 +141,7 @@ def verify_goldens(
         else:
             out(
                 f"[goldens] {surface.name:<12s} OK "
-                f"({len(fresh.files)} file(s) bit-identical)"
+                f"({len(fresh)} file(s) byte-identical)"
             )
     orphans = orphan_dirs(root, surfaces) if only is None else []
     for name in orphans:
@@ -204,9 +173,10 @@ def update_goldens(
 
     Refuses (exit 2) unless ``REPRO_REGEN_GOLDENS=1`` is set.  For each
     surface, generates a fresh run, prints the per-file / per-field diff
-    against the previous goldens, then atomically replaces them (the
-    surface's manifest is deleted first and rewritten last, so an
-    interrupt mid-update leaves an invalid — never a half-new — golden).
+    against the previous goldens, then swaps the new files in with
+    :func:`~repro.goldens.writer.write_run`, byte for byte as generated:
+    an interrupt mid-update leaves the old set, the new set, or a
+    ``.tmp-*`` orphan — never a half-new golden.
     """
     if not regen_enabled(environ):
         out(
@@ -225,36 +195,22 @@ def update_goldens(
     changed = 0
     for surface in surfaces:
         golden_dir = root / surface.name
-        with tempfile.TemporaryDirectory(prefix="goldens-") as tmp:
-            fresh_dir = pathlib.Path(tmp) / surface.name
-            fresh = _generate_into(surface, fresh_dir, out)
-            if fresh is None:
-                return EXIT_DRIFT
-            had_goldens = (golden_dir / MANIFEST_NAME).is_file()
-            lines: list[str] = []
-            if had_goldens:
-                lines = _compare_surface(
-                    surface, golden_dir, fresh_dir, fresh, out
-                )
-            if had_goldens and not lines:
-                out(f"[goldens] {surface.name:<12s} unchanged")
-                continue
-            changed += 1
-            if lines:
-                out(f"[goldens] {surface.name:<12s} UPDATED")
-                for line in lines:
-                    out(f"    {line}")
-            else:
-                out(
-                    f"[goldens] {surface.name:<12s} RECORDED "
-                    f"({len(fresh.files)} file(s))"
-                )
-            # Install: claim the directory (deletes the old manifest
-            # first), copy artifacts atomically, manifest last.
-            install = RunWriter(golden_dir, surface.name, out=out)
-            for name in sorted(fresh.files):
-                install.write_text(name, (fresh_dir / name).read_text())
-            install.finalize()
+        fresh = _generate(surface, out)
+        if fresh is None:
+            return EXIT_DRIFT
+        had_goldens = golden_dir.is_dir()
+        lines = _compare_surface(golden_dir, fresh) if had_goldens else []
+        if had_goldens and not lines:
+            out(f"[goldens] {surface.name:<12s} unchanged")
+            continue
+        changed += 1
+        if lines:
+            out(f"[goldens] {surface.name:<12s} UPDATED")
+            for line in lines:
+                out(f"    {line}")
+        else:
+            out(f"[goldens] {surface.name:<12s} RECORDED ({len(fresh)} file(s))")
+        write_run(golden_dir, fresh)
     out(
         f"update-goldens: {changed}/{len(surfaces)} surface(s) rewritten "
         f"under {root}"

@@ -3,7 +3,9 @@
 The benchmark harness archives human-readable tables; this module
 additionally emits machine-readable CSV so the series can be re-plotted
 with external tooling.  Rows may be dataclasses, mappings, objects with a
-``csv_row()`` method, or plain sequences.
+``csv_row()`` method, or plain sequences.  Rows end in LF, not the
+``csv`` module's default CRLF: the committed goldens are these bytes,
+compared as they are.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ def to_csv(rows: Iterable[Any]) -> str:
         if list(row) != fieldnames:
             raise ExperimentError("rows have inconsistent fields")
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=fieldnames)
+    writer = csv.DictWriter(buffer, fieldnames=fieldnames, lineterminator="\n")
     writer.writeheader()
     writer.writerows(dict_rows)
     return buffer.getvalue()
@@ -50,7 +52,7 @@ def to_csv(rows: Iterable[Any]) -> str:
 def to_csv_columns(headers: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
     """Render header + positional rows as CSV text."""
     buffer = io.StringIO()
-    writer = csv.writer(buffer)
+    writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(list(headers))
     count = 0
     for row in rows:

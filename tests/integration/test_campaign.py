@@ -118,14 +118,16 @@ class TestBrokenLeaseAcceptance:
         assert outcome.row["minimized_events"] == len(
             outcome.minimized.plan.events
         )
-        # The bundle is a complete manifested run...
+        # The bundle is exactly its three files, swapped in whole...
         assert outcome.bundle_path is not None
         bundle = tmp_path / "trial-000"
         assert str(bundle) == outcome.bundle_path
-        manifest = json.loads((bundle / "MANIFEST.json").read_text())
-        assert {"config.json", "plan.json", "oracle.json"} <= set(
-            manifest["files"]
-        )
+        assert [p.name for p in tmp_path.iterdir()] == ["trial-000"]
+        assert {p.name for p in bundle.iterdir()} == {
+            "config.json",
+            "plan.json",
+            "oracle.json",
+        }
         oracle = json.loads((bundle / "oracle.json").read_text())
         assert oracle["signature"] == ["oracle", "single_writer"]
         assert oracle["evidence"]

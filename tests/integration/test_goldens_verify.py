@@ -3,12 +3,14 @@
 Covers the acceptance bar of the goldens work:
 
 * ``update-goldens`` -> ``verify-goldens`` round-trips clean (exit 0);
-* a single-byte mutation in a golden-covered artifact fails the gate
-  (exit 1) with a per-file and per-field diff report;
+* a truncated, edited, CRLF-converted, stray or missing golden file
+  fails the gate (exit 1), naming the file; a byte mismatch also
+  prints the per-field diff;
 * chaos / failover artifact generation is byte-identical
   across two back-to-back runs per seed;
-* SIGKILL mid-run leaves either a complete manifested artifact set or
-  nothing detectable as valid — and the next run cleans the partials;
+* SIGKILL mid-write leaves the previous complete set (or no directory)
+  plus a ``.tmp-*`` sibling that the orphan check names — never a
+  half-written set;
 * exit codes are uniform: 0 clean, 1 drift/stall, 2 usage.
 """
 
@@ -23,10 +25,9 @@ import pytest
 
 from repro import cli
 from repro.experiments.registry import EXPERIMENTS
-from repro.goldens.manifest import MANIFEST_NAME, manifest_errors
 from repro.goldens.surfaces import SURFACES, SURFACES_BY_NAME, surface_names
 from repro.goldens.verify import orphan_dirs, update_goldens, verify_goldens
-from repro.goldens.writer import RunWriter
+from repro.goldens.writer import write_run
 
 #: Fast surfaces used for the round-trip flow tests.
 FAST = ("figure1", "replication", "grouping")
@@ -59,7 +60,7 @@ class TestRoundTrip:
         lines = []
         assert verify_goldens(tmp_path, only=("figure1",), out=lines.append) == 1
         report = "\n".join(lines)
-        assert "figure1.json" in report  # per-file
+        assert "figure1.json: bytes differ" in report  # per-file
         assert "final_value" in report  # per-field
         assert "golden 4 != current 3" in report
 
@@ -74,14 +75,45 @@ class TestRoundTrip:
         lines = []
         assert verify_goldens(tmp_path, only=("grouping",), out=lines.append) == 1
         report = "\n".join(lines)
-        assert "grouping.csv" in report
+        assert "grouping.csv: bytes differ" in report
         assert "[n_nodes]" in report and "'999'" in report
 
     def test_truncated_golden_fails(self, tmp_path):
         _update(tmp_path, only=("figure1",))
         target = tmp_path / "figure1" / "figure1.json"
         target.write_text(target.read_text()[:-40])
-        assert verify_goldens(tmp_path, only=("figure1",), out=lambda _l: None) == 1
+        lines = []
+        assert verify_goldens(tmp_path, only=("figure1",), out=lines.append) == 1
+        report = "\n".join(lines)
+        assert "figure1.json: bytes differ" in report
+        assert "not valid JSON (truncated artifact?)" in report
+
+    def test_crlf_converted_golden_fails(self, tmp_path):
+        _update(tmp_path, only=("grouping",))
+        target = tmp_path / "grouping" / "grouping.csv"
+        target.write_bytes(target.read_bytes().replace(b"\n", b"\r\n"))
+        lines = []
+        assert verify_goldens(tmp_path, only=("grouping",), out=lines.append) == 1
+        report = "\n".join(lines)
+        assert "grouping.csv: bytes differ" in report
+        assert "no field differs: line endings or spacing only" in report
+
+    @pytest.mark.parametrize(
+        "damage, line",
+        [
+            ("stray", "stray.txt: in goldens but no longer generated"),
+            ("missing", "figure1.json: newly generated, not in goldens"),
+        ],
+    )
+    def test_file_set_mismatch_fails(self, tmp_path, damage, line):
+        _update(tmp_path, only=("figure1",))
+        if damage == "stray":
+            (tmp_path / "figure1" / "stray.txt").write_text("boo\n")
+        else:
+            (tmp_path / "figure1" / "figure1.json").unlink()
+        lines = []
+        assert verify_goldens(tmp_path, only=("figure1",), out=lines.append) == 1
+        assert f"    {line}" in lines
 
     def test_missing_goldens_is_drift(self, tmp_path):
         lines = []
@@ -164,20 +196,9 @@ class TestDeterminism:
     """Back-to-back runs per seed must produce byte-identical artifacts."""
 
     @pytest.mark.parametrize("name", ["chaos", "failover"])
-    def test_surface_byte_identical_across_runs(self, tmp_path, name):
+    def test_surface_byte_identical_across_runs(self, name):
         surface = SURFACES_BY_NAME[name]
-        first = RunWriter(tmp_path / "one", name)
-        surface.generate(first)
-        manifest_one = first.finalize()
-        second = RunWriter(tmp_path / "two", name)
-        surface.generate(second)
-        manifest_two = second.finalize()
-        assert set(manifest_one.files) == set(manifest_two.files)
-        for file_name in manifest_one.files:
-            bytes_one = (tmp_path / "one" / file_name).read_bytes()
-            bytes_two = (tmp_path / "two" / file_name).read_bytes()
-            assert bytes_one == bytes_two, f"{name}/{file_name} not reproducible"
-        assert manifest_errors(tmp_path / "one") == []
+        assert surface.generate() == surface.generate()
 
     def test_every_surface_is_registered(self):
         assert set(surface_names()) == {exp.name for exp in EXPERIMENTS}
@@ -203,31 +224,37 @@ class TestCommittedGoldens:
     def test_committed_tree_has_no_orphans(self):
         assert orphan_dirs(REPO_ROOT / "goldens", SURFACES) == []
 
-    def test_committed_manifests_are_internally_consistent(self):
-        goldens = REPO_ROOT / "goldens"
-        for name in surface_names():
-            directory = goldens / name
-            assert directory.is_dir(), f"no committed goldens for {name}"
-            problems = manifest_errors(directory)
-            assert problems == [], f"{name}: {problems}"
+    def test_committed_goldens_hold_no_carriage_return(self):
+        # ``.gitattributes`` marks goldens/ as binary (``-text``), so a
+        # checkout with core.autocrlf=true cannot rewrite these bytes.
+        for path in sorted((REPO_ROOT / "goldens").rglob("*")):
+            if path.is_file():
+                assert b"\r" not in path.read_bytes(), path
+
+    def test_fresh_csv_is_the_committed_bytes(self):
+        fresh = SURFACES_BY_NAME["figure2"].generate()["figure2.csv"]
+        committed = (REPO_ROOT / "goldens" / "figure2" / "figure2.csv").read_bytes()
+        assert fresh.encode("utf-8") == committed
 
 
 class TestSigkillMidRun:
-    """SIGKILL mid-run: complete-with-manifest or detectably invalid."""
+    """SIGKILL mid-write: the previous set or nothing, plus an orphan."""
 
     SCRIPT = """
 import sys, time
-from repro.goldens.writer import RunWriter
-run = RunWriter(sys.argv[1], surface="killtest")
-run.write_json("a.json", {"x": 1})
-print("WROTE_A", flush=True)
-time.sleep(30)  # SIGKILLed here
-run.write_json("b.json", {"y": 2})
-run.finalize()
+from repro.goldens.writer import write_run
+
+class SlowFiles(dict):
+    def items(self):
+        yield "a.json", "{}\\n"
+        print("WROTE_A", flush=True)
+        time.sleep(30)  # SIGKILLed here
+        yield "b.json", "{}\\n"
+
+write_run(sys.argv[1], SlowFiles())
 """
 
-    def test_no_partial_survives_as_valid(self, tmp_path):
-        run_dir = tmp_path / "run"
+    def _kill_after_first_file(self, run_dir):
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
@@ -243,21 +270,25 @@ run.finalize()
             os.kill(proc.pid, signal.SIGKILL)
         finally:
             proc.wait(timeout=30)
-        # The artifact landed but the run never finalized: the directory
-        # must be detectably invalid, never a silently-partial set.
-        assert (run_dir / "a.json").is_file()
-        assert not (run_dir / MANIFEST_NAME).exists()
-        assert manifest_errors(run_dir)
-        # The next run detects and cleans the stale partial, then
-        # completes into a valid manifested set.
-        notes = []
-        fresh = RunWriter(run_dir, "killtest", out=notes.append)
-        assert fresh.cleaned_stale == ["a.json"]
-        assert any("stale partial" in note for note in notes)
-        fresh.write_json("a.json", {"x": 1})
-        fresh.write_json("b.json", {"y": 2})
-        fresh.finalize()
-        assert manifest_errors(run_dir) == []
+        # a.json landed in a staging sibling that the orphan check names.
+        (orphan,) = orphan_dirs(run_dir.parent, SURFACES)
+        assert orphan.startswith(f".tmp-{run_dir.name}-")
+        assert [p.name for p in (run_dir.parent / orphan).iterdir()] == ["a.json"]
+
+    def test_no_partial_survives_as_valid(self, tmp_path):
+        # A killed `update-goldens` of figure1, as the goldens tree sees it.
+        run_dir = tmp_path / "figure1"
+        write_run(run_dir, {"old.json": "{}\n"})
+        self._kill_after_first_file(run_dir)
+        assert [p.name for p in run_dir.iterdir()] == ["old.json"]
+        # The next write replaces the directory whole.
+        write_run(run_dir, {"a.json": "{}\n", "b.json": "{}\n"})
+        assert sorted(p.name for p in run_dir.iterdir()) == ["a.json", "b.json"]
+
+    def test_killed_first_write_leaves_no_target(self, tmp_path):
+        run_dir = tmp_path / "figure1"
+        self._kill_after_first_file(run_dir)
+        assert not run_dir.exists()
 
 
 class TestCliExitCodes:

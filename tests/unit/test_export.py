@@ -32,8 +32,8 @@ class TestToCsv:
         assert lines[2] == "2,3.5"
 
     def test_dict_rows(self):
-        text = to_csv([{"a": 1, "b": "x"}])
-        assert text.strip().splitlines() == ["a,b", "1,x"]
+        # Rows end in LF, not the csv module's CRLF: goldens are bytes.
+        assert to_csv([{"a": 1, "b": "x"}]) == "a,b\n1,x\n"
 
     def test_empty_rejected(self):
         with pytest.raises(ExperimentError):
@@ -51,7 +51,7 @@ class TestToCsv:
 class TestToCsvColumns:
     def test_positional_rows(self):
         text = to_csv_columns(["x", "y"], [[1, 2], [3, 4]])
-        assert text.strip().splitlines() == ["x,y", "1,2", "3,4"]
+        assert text == "x,y\n1,2\n3,4\n"
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ExperimentError):

@@ -1,15 +1,17 @@
-"""Unit tests: atomic writes, manifest-last runs, stale-partial cleanup."""
+"""Unit tests: atomic file writes, and whole runs swapped into place.
+
+A run the writer completed and something later damaged (truncated,
+edited, a stray file added, emptied) must be caught by the drift gate's
+byte compare, which is what the ``detected`` / ``invalid`` cases run.
+"""
+
+import stat
 
 import pytest
 
-from repro.errors import ExperimentError
-from repro.goldens.manifest import (
-    MANIFEST_NAME,
-    load_manifest,
-    manifest_errors,
-    parse_manifest,
-)
-from repro.goldens.writer import TMP_PREFIX, RunWriter, atomic_write_text
+from repro.goldens.verify import _compare_surface
+from repro.goldens.writer import TMP_PREFIX, atomic_write_text, write_run
+from repro.metrics.export import to_csv
 
 
 class TestAtomicWrite:
@@ -39,137 +41,63 @@ class TestAtomicWrite:
         assert leftovers == []
 
 
+FILES = {"a.json": '{\n  "x": 1\n}\n', "b.txt": "abc\n"}
+
+
 class TestRunWriter:
-    def test_manifest_written_last(self, tmp_path):
-        run = RunWriter(tmp_path / "run", "t")
-        run.write_json("a.json", {"x": 1})
-        run.write_text("b.txt", "hi\n")
-        # Before finalize: artifacts exist, the directory is NOT valid.
-        assert (tmp_path / "run" / "a.json").is_file()
-        assert not (tmp_path / "run" / MANIFEST_NAME).exists()
-        assert manifest_errors(tmp_path / "run")  # invalid without manifest
-        run.finalize()
-        assert manifest_errors(tmp_path / "run") == []
-        manifest = load_manifest(tmp_path / "run")
-        assert set(manifest.files) == {"a.json", "b.txt"}
-        assert manifest.surface == "t"
+    def test_writes_exactly_the_given_bytes(self, tmp_path):
+        run = write_run(tmp_path / "run", FILES)
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == {
+            name: text.encode() for name, text in FILES.items()
+        }
+        assert stat.S_IMODE(run.stat().st_mode) == 0o755
+        assert [p.name for p in tmp_path.iterdir()] == ["run"]
 
     def test_csv_rows(self, tmp_path):
-        run = RunWriter(tmp_path / "run", "t")
-        run.write_csv("r.csv", [{"a": 1, "b": 2}, {"a": 3, "b": 4}])
-        run.finalize()
-        assert (tmp_path / "run" / "r.csv").read_text().startswith("a,b")
-        assert manifest_errors(tmp_path / "run") == []
+        rows = [{"a": 1, "b": 2}, {"a": 3, "b": 4}]
+        run = write_run(tmp_path / "run", {"r.csv": to_csv(rows)})
+        assert (run / "r.csv").read_bytes() == b"a,b\n1,2\n3,4\n"
+
+    def test_replacing_a_completed_run_swaps_the_whole_set(self, tmp_path):
+        write_run(tmp_path / "run", {"old.txt": "old\n", "b.txt": "old\n"})
+        run = write_run(tmp_path / "run", FILES)
+        assert sorted(p.name for p in run.iterdir()) == ["a.json", "b.txt"]
+        assert (run / "b.txt").read_text() == "abc\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run"]
+
+    def test_failed_write_keeps_the_previous_set(self, tmp_path):
+        write_run(tmp_path / "run", FILES)
+        with pytest.raises(AttributeError):
+            write_run(tmp_path / "run", {"a.json": "new\n", "b.txt": None})
+        run = tmp_path / "run"
+        assert {p.name: p.read_text() for p in run.iterdir()} == FILES
+        assert [p.name for p in tmp_path.iterdir()] == ["run"]
 
     def test_truncation_detected_after_the_fact(self, tmp_path):
-        run = RunWriter(tmp_path / "run", "t")
-        run.write_text("a.txt", "full content here\n")
-        run.finalize()
-        # Simulate a torn write / disk corruption on the completed run.
-        (tmp_path / "run" / "a.txt").write_text("full")
-        problems = manifest_errors(tmp_path / "run")
-        assert any("bytes" in p for p in problems)
+        run = write_run(tmp_path / "run", FILES)
+        (run / "a.json").write_text('{\n  "x"')
+        (line, *field_lines) = _compare_surface(run, FILES)
+        assert line == "a.json: bytes differ (7 golden vs 13 current)"
+        assert "not valid JSON" in field_lines[0]
 
     def test_single_byte_tamper_detected(self, tmp_path):
-        run = RunWriter(tmp_path / "run", "t")
-        run.write_text("a.txt", "abc\n")
-        run.finalize()
-        (tmp_path / "run" / "a.txt").write_text("abd\n")
-        problems = manifest_errors(tmp_path / "run")
-        assert any("raw sha256" in p for p in problems)
-
-    @pytest.mark.parametrize(
-        "manifest",
-        [
-            # A field this reader does not know: never half-understood.
-            b'{"schema": 1, "surface": "t", "files": {"a.txt": {"sha256": "0",'
-            b' "raw_sha256": "0", "bytes": 4, "unknown": []}}}',
-            b'{"schema": 1, "surface": "t", "files": ["a.txt"]}',
-            b'{"schema": 1, "surface": "t", "files": {"a.txt": {"bytes": 4}}}',
-            b'{"schema": 1, "surf',
-            b"\xff\xfe not utf-8",
-        ],
-    )
-    def test_malformed_manifest_is_a_reported_problem(self, tmp_path, manifest):
-        run = RunWriter(tmp_path / "run", "t")
-        run.write_text("a.txt", "abc\n")
-        run.finalize()
-        (tmp_path / "run" / MANIFEST_NAME).write_bytes(manifest)
-        (problem,) = manifest_errors(tmp_path / "run")
-        assert "manifest is" in problem
-
-    def test_unknown_manifest_field_is_named(self):
-        stale = (
-            b'{"schema": 1, "surface": "t", "files": {"a.txt": {"sha256": "0",'
-            b' "raw_sha256": "0", "bytes": 4, "retired": []}}}'
-        )
-        with pytest.raises(ExperimentError, match=r"a\.txt.*'retired'.*make goldens"):
-            parse_manifest(stale)
+        run = write_run(tmp_path / "run", FILES)
+        (run / "b.txt").write_text("abd\n")
+        assert _compare_surface(run, FILES) == [
+            "b.txt: bytes differ (4 golden vs 4 current)",
+            "  line 1: golden 'abd' != current 'abc'",
+        ]
 
     def test_stray_file_detected(self, tmp_path):
-        run = RunWriter(tmp_path / "run", "t")
-        run.write_text("a.txt", "x\n")
-        run.finalize()
-        (tmp_path / "run" / "intruder.txt").write_text("boo")
-        problems = manifest_errors(tmp_path / "run")
-        assert any("not in the manifest" in p for p in problems)
-
-    def test_stale_partial_cleanup_on_next_run(self, tmp_path):
-        # An interrupted run: artifacts on disk, no manifest.
-        crashed = RunWriter(tmp_path / "run", "t")
-        crashed.write_json("a.json", {"x": 1})
-        crashed.write_json("b.json", {"y": 2})
-        # ... SIGKILL here: finalize() never happens.
-        notes = []
-        fresh = RunWriter(tmp_path / "run", "t", out=notes.append)
-        assert sorted(fresh.cleaned_stale) == ["a.json", "b.json"]
-        assert any("stale partial" in note for note in notes)
-        fresh.write_json("a.json", {"x": 1})
-        fresh.finalize()
-        assert manifest_errors(tmp_path / "run") == []
-        assert not (tmp_path / "run" / "b.json").exists()
-
-    def test_orphan_temp_files_removed(self, tmp_path):
-        run_dir = tmp_path / "run"
-        run_dir.mkdir()
-        (run_dir / f"{TMP_PREFIX}a.json-zz").write_text("partial bytes")
-        fresh = RunWriter(run_dir, "t")
-        assert list(run_dir.iterdir()) == []
-        # Orphaned temps are not artifacts: not reported as stale.
-        assert fresh.cleaned_stale == []
-
-    def test_replacing_a_completed_run_invalidates_first(self, tmp_path):
-        run = RunWriter(tmp_path / "run", "t")
-        run.write_text("old.txt", "old\n")
-        run.finalize()
-        # Claiming the directory again deletes the manifest immediately:
-        # a crash mid-rewrite must not leave a manifest blessing a mix.
-        again = RunWriter(tmp_path / "run", "t")
-        assert not (tmp_path / "run" / MANIFEST_NAME).exists()
-        assert not (tmp_path / "run" / "old.txt").exists()
-        assert again.cleaned_stale == []  # previous run was complete
-
-    def test_duplicate_name_rejected(self, tmp_path):
-        run = RunWriter(tmp_path / "run", "t")
-        run.write_text("a.txt", "x\n")
-        with pytest.raises(ExperimentError, match="twice"):
-            run.write_text("a.txt", "y\n")
-
-    def test_reserved_names_rejected(self, tmp_path):
-        run = RunWriter(tmp_path / "run", "t")
-        with pytest.raises(ExperimentError):
-            run.write_text(MANIFEST_NAME, "{}")
-        with pytest.raises(ExperimentError):
-            run.write_text("sub/a.txt", "x")
-
-    def test_write_after_finalize_rejected(self, tmp_path):
-        run = RunWriter(tmp_path / "run", "t")
-        run.finalize()
-        with pytest.raises(ExperimentError, match="finalized"):
-            run.write_text("late.txt", "x")
-        with pytest.raises(ExperimentError, match="twice"):
-            run.finalize()
+        run = write_run(tmp_path / "run", FILES)
+        (run / "intruder.txt").write_text("boo")
+        assert _compare_surface(run, FILES) == [
+            "intruder.txt: in goldens but no longer generated"
+        ]
 
     def test_empty_directory_is_invalid(self, tmp_path):
         (tmp_path / "run").mkdir()
-        assert manifest_errors(tmp_path / "run")
+        assert _compare_surface(tmp_path / "run", FILES) == [
+            "a.json: newly generated, not in goldens",
+            "b.txt: newly generated, not in goldens",
+        ]

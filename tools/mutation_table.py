@@ -23,6 +23,7 @@ import argparse
 import os
 import pathlib
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -224,14 +225,22 @@ def tier_catches(
     command: list[str], tree: pathlib.Path, env: dict[str, str],
     log: pathlib.Path | None,
 ) -> bool:
+    """Run one tier; a timeout kills its whole process group.
+
+    The tier runs in its own session, so a sweep's forked workers share
+    its process group and die with it instead of outliving the table.
+    """
+    proc = subprocess.Popen(
+        command, cwd=tree, env=env, text=True, start_new_session=True,
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+    )
     try:
-        done = subprocess.run(
-            command, cwd=tree, env=env, timeout=TIER_TIMEOUT_S, text=True,
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-        )
-        output, caught = done.stdout, done.returncode != 0
-    except subprocess.TimeoutExpired as exc:
-        output, caught = f"{exc.stdout or ''}\nTIMEOUT {exc}", True
+        output, _ = proc.communicate(timeout=TIER_TIMEOUT_S)
+        caught = proc.returncode != 0
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        output, _ = proc.communicate()
+        output, caught = f"{output}\nTIMEOUT after {TIER_TIMEOUT_S} s", True
     if log is not None:
         log.write_text(output)
     return caught
