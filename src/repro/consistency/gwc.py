@@ -97,19 +97,6 @@ class GroupRootEngine:
         self._lease_duration: float | None = None
         self._lease_is_crashed: "Callable[[int], bool] | None" = None
         self._lease_max_extensions: int | None = None
-        #: Packet-train collection (Layer 1 batching): while a train is
-        #: open, :meth:`_sequence_and_multicast` appends sequenced
-        #: packets here instead of multicasting each one immediately;
-        #: :meth:`_train_flush` ships the whole run as one
-        #: :meth:`MulticastTree.multicast_train` — one heap event per
-        #: member instead of one per (member, packet), with per-packet
-        #: arrival times computed exactly as unbatched.  ``None`` means
-        #: no train is open (single sequenced writes take the direct
-        #: path, byte-for-byte the pre-train behaviour).
-        self._train: "list[ApplyPacket] | None" = None
-        self._train_depth = 0
-        #: Multi-packet trains actually shipped (diagnostics).
-        self.trains_sent = 0
 
     def enable_reliability(self, heartbeat_interval: float) -> None:
         """Keep history for retransmission and emit trailing heartbeats."""
@@ -167,18 +154,14 @@ class GroupRootEngine:
 
     def _emit_lock_values(self, name: str, values: list[Any]) -> None:
         """Sequence root-originated lock writes (lease reclaim grants)."""
-        self._train_begin()
-        try:
-            for value in values:
-                self._sequence_and_multicast(
-                    var=name,
-                    value=value,
-                    origin=self.group.root,
-                    is_mutex_data=False,
-                    is_lock=True,
-                )
-        finally:
-            self._train_flush()
+        for value in values:
+            self._sequence_and_multicast(
+                var=name,
+                value=value,
+                origin=self.group.root,
+                is_mutex_data=False,
+                is_lock=True,
+            )
 
     def depose(self) -> None:
         """Mark this engine superseded by a failover successor.
@@ -212,11 +195,12 @@ class GroupRootEngine:
         rule, extended across a change of owner), and a member adopting
         the fence jumps its cursor to ``start_seq``.  Every name of
         ``image`` is then re-sequenced, in the caller's order, as one
-        packet train attributed to ``old_owner`` — the only node whose
-        echo filter could drop a mutex-data refresh, and it is dead or
-        already holds the value.  ``rebuilt`` stamps the lock writes so
-        a member can decline a grant it no longer wants (failover's
-        table comes from evidence that may predate a release).
+        ordinary sequenced multicast per name, attributed to
+        ``old_owner`` — the only node whose echo filter could drop a
+        mutex-data refresh, and it is dead or already holds the value.
+        ``rebuilt`` stamps the lock writes so a member can decline a
+        grant it no longer wants (failover's table comes from evidence
+        that may predate a release).
         """
         self.epoch = epoch
         self.epoch_start_seq = start_seq
@@ -232,22 +216,16 @@ class GroupRootEngine:
             )
         variables = self.group.variables
         locks = self.group.locks
-        self._train_begin()
-        try:
-            for name in image:
-                is_lock = name in locks
-                self._sequence_and_multicast(
-                    var=name,
-                    value=image[name],
-                    origin=old_owner,
-                    is_mutex_data=(
-                        name in variables and variables[name].is_mutex_data
-                    ),
-                    is_lock=is_lock,
-                    rebuilt=rebuilt and is_lock,
-                )
-        finally:
-            self._train_flush()
+        for name in image:
+            is_lock = name in locks
+            self._sequence_and_multicast(
+                var=name,
+                value=image[name],
+                origin=old_owner,
+                is_mutex_data=(name in variables and variables[name].is_mutex_data),
+                is_lock=is_lock,
+                rebuilt=rebuilt and is_lock,
+            )
 
     def on_nack(self, member: int, from_seq: int) -> None:
         """Resend every sequenced packet from ``from_seq`` to ``member``."""
@@ -374,14 +352,7 @@ class GroupRootEngine:
                     current=self.epoch,
                 )
             return
-        self._train_begin()
-        try:
-            self._handle_write(request.var, request.value, request.origin)
-        finally:
-            self._train_flush()
-
-    def _handle_write(self, var: str, value: Any, origin: int) -> None:
-        """Lock-manage / discard / sequence one current-epoch write."""
+        var, value, origin = request.var, request.value, request.origin
         group = self.group
         if var in self.migrated:
             # A current-epoch write for a name an online re-partition
@@ -475,57 +446,7 @@ class GroupRootEngine:
             )
         if self._heartbeat_interval is not None:
             self._history[seq] = packet
-        if self._train is not None:
-            # A train is open: the whole synchronous run of sequenced
-            # packets ships together at flush time.
-            self._train.append(packet)
-            return
         self._emit_packet(packet)
-        self._refresh_heartbeat()
-
-    # ------------------------------------------------------------------
-    # Packet-train emission (Layer 1 batching)
-    # ------------------------------------------------------------------
-
-    def _train_begin(self) -> None:
-        """Open a packet train (re-entrant; outermost flush ships it)."""
-        if self._train_depth == 0:
-            self._train = []
-        self._train_depth += 1
-
-    def _train_flush(self) -> None:
-        """Close the train and ship any collected packets.
-
-        A one-packet train takes the ordinary single-multicast path —
-        byte-for-byte what the root did before trains existed.  A
-        multi-packet train ships via
-        :meth:`MulticastTree.multicast_train`, unless some variable in
-        the train has excluded (unsubscribed) members, in which case
-        each packet is emitted individually so per-member suppression
-        applies exactly as unbatched.
-        """
-        self._train_depth -= 1
-        if self._train_depth > 0:
-            return
-        train = self._train
-        self._train = None
-        if not train:
-            return
-        if len(train) == 1:
-            self._emit_packet(train[0])
-        elif any(self._excluded.get(packet.var) for packet in train):
-            for packet in train:
-                self._emit_packet(packet)
-        else:
-            self.trains_sent += 1
-            self.group.tree.multicast_train(
-                "gwc.apply",
-                train,
-                [
-                    self.group.wire_bytes(packet.var, self.packet_bytes)
-                    for packet in train
-                ],
-            )
         self._refresh_heartbeat()
 
     def _emit_packet(self, packet: ApplyPacket) -> None:

@@ -68,22 +68,6 @@ class Message:
         )
 
 
-def fire_train(train: tuple) -> None:
-    """Deliver one packet train from a single heap event.
-
-    ``train`` is ``(handler, messages)``: the resolved per-kind delivery
-    callable for the destination and the tuple of :class:`Message`
-    objects that share one arrival time on one FIFO channel.  The
-    receiver sees exactly the per-message deliveries it would have seen
-    unbatched, in the same (sequence) order — only the number of heap
-    events differs.  Scheduled by :meth:`Network.send_fanout_train` as a
-    ``(arrival, seq, fire_train, train)`` heap entry.
-    """
-    handler = train[0]
-    for msg in train[1]:
-        handler(msg)
-
-
 def fire_cohort(cohort: tuple) -> None:
     """Deliver one multicast payload to a cohort from a single heap event.
 

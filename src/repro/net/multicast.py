@@ -107,23 +107,3 @@ class MulticastTree:
         """
         targets = self._fanout_targets if include_root else self._nonroot_targets
         self.network.send_fanout(self.root, targets, kind, payload, size_bytes)
-
-    def multicast_train(
-        self,
-        kind: str,
-        payloads: "list[object] | tuple[object, ...]",
-        sizes: "list[int] | tuple[int, ...]",
-        include_root: bool = True,
-    ) -> None:
-        """Send several back-to-back packets to every member as a train.
-
-        Logically identical to calling :meth:`multicast` once per
-        ``(payload, size)`` entry, in order — same per-packet arrival
-        times, stats, and delivery order — but consecutive packets whose
-        FIFO-clamped arrivals coincide share one heap event per member
-        (see :meth:`Network.send_fanout_train`).  This is how the root
-        ships a run of sequenced writes (a lease chain, a handoff
-        refresh) without multiplying simulator events by its length.
-        """
-        targets = self._fanout_targets if include_root else self._nonroot_targets
-        self.network.send_fanout_train(self.root, targets, kind, payloads, sizes)

@@ -28,7 +28,7 @@ from heapq import heappush
 from typing import Callable
 
 from repro.errors import NetworkError
-from repro.net.message import Message, fire_cohort, fire_train
+from repro.net.message import Message, fire_cohort
 from repro.net.topology import Topology
 from repro.params import MachineParams
 from repro.sim.kernel import Simulator
@@ -427,123 +427,3 @@ class Network:
             record = (receivers, payload, src, kind, size_bytes, now)
             heappush(heap, (arrival, seq + offset, fire, record))
         queue._live += len(cohorts)
-
-    def send_fanout_train(
-        self,
-        src: int,
-        targets: tuple[int, ...],
-        kind: str,
-        payloads: "list[object] | tuple[object, ...]",
-        sizes: "list[int] | tuple[int, ...]",
-    ) -> None:
-        """Send a train of payloads from ``src`` to every target.
-
-        Semantically identical to calling :meth:`send_fanout` once per
-        ``(payload, size)`` entry, in entry order: every logical message
-        keeps its own :class:`Message` object, stats counters, and FIFO-
-        clamped arrival time, and each destination's handler is invoked
-        once per message in sequence order.  The difference is purely
-        mechanical — consecutive messages on one channel whose clamped
-        arrivals coincide ride ONE heap event (a packet train, see
-        :func:`~repro.net.message.fire_train`) instead of one event
-        each.  Messages sent back-to-back at the same instant on a FIFO
-        channel arrive together whenever no later message is larger
-        than the running maximum, so a run of k same-size updates
-        collapses to a single delivery event per member.
-
-        Loss-model, fault-injection, and tracing runs take the plain
-        :meth:`send` path (in the same entry-major order the unbatched
-        engine would produce) so per-message drop decisions and trace
-        records stay exactly as before.
-        """
-        n_entries = len(payloads)
-        if n_entries == 1:
-            self.send_fanout(src, targets, kind, payloads[0], sizes[0])
-            return
-        sim = self.sim
-        if (
-            self.loss_model is not None
-            or self._injector is not None
-            or sim.trace_enabled
-        ):
-            for payload, size in zip(payloads, sizes):
-                for dst in targets:
-                    self.send(Message(src, dst, kind, payload, size))
-            return
-        now = sim._now
-        n_targets = len(targets)
-        total = n_entries * n_targets
-        stats = self.stats
-        stats.messages += total
-        stats.bytes += sum(sizes) * n_targets
-        stats.by_kind[kind] += total
-        stats.outbound[src] += total
-        inbound = stats.inbound
-        direct = self._direct
-        base_latency = self._base_latency
-        last_arrival = self._last_arrival
-        link_bandwidth = self._link_bandwidth
-        serials = [size / link_bandwidth for size in sizes]
-        queue = self._queue
-        heap = queue._heap
-        seq = queue._next_seq
-        pushed = 0
-        for dst in targets:
-            handler = direct.get((dst, kind))
-            if handler is None:
-                handler = self._resolve_direct(dst, kind)
-            key = (src, dst)
-            base = base_latency.get(key)
-            if base is None:
-                base = self.topology.hops(src, dst) * self._hop_latency
-                base_latency[key] = base
-            previous = last_arrival.get(key)
-            # Build maximal segments of consecutive messages sharing one
-            # clamped arrival; each segment is one heap entry.
-            segment: list[Message] = []
-            segment_arrival = -1.0
-            for i in range(n_entries):
-                # The same expression as send()/send_fanout(), so the
-                # per-message fallback rounds to the identical float.
-                arrival = now + (base + serials[i])
-                if previous is not None and arrival < previous:
-                    arrival = previous
-                previous = arrival
-                msg = Message(src, dst, kind, payloads[i], sizes[i])
-                msg.sent_at = now
-                if arrival == segment_arrival:
-                    segment.append(msg)
-                    continue
-                if segment:
-                    pushed += 1
-                    if len(segment) == 1:
-                        heappush(
-                            heap, (segment_arrival, seq, handler, segment[0])
-                        )
-                    else:
-                        heappush(
-                            heap,
-                            (
-                                segment_arrival,
-                                seq,
-                                fire_train,
-                                (handler, tuple(segment)),
-                            ),
-                        )
-                    seq += 1
-                segment = [msg]
-                segment_arrival = arrival
-            if segment:
-                pushed += 1
-                if len(segment) == 1:
-                    heappush(heap, (segment_arrival, seq, handler, segment[0]))
-                else:
-                    heappush(
-                        heap,
-                        (segment_arrival, seq, fire_train, (handler, tuple(segment))),
-                    )
-                seq += 1
-            last_arrival[key] = previous
-            inbound[dst] += n_entries
-        queue._next_seq = seq
-        queue._live += pushed

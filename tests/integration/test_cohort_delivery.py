@@ -9,7 +9,8 @@ observer can see may depend on that:
   and on the per-message fallback (a recording ``Tracer`` already
   forces ``send`` per recipient, no knob involved) must agree on the
   state hash, the makespan, and every per-node apply / filter / write /
-  signal count;
+  signal count; the quick ``failover`` and ``sharded_root`` rows, whole
+  runs through takeover and handoff refreshes, must be equal too;
 * **probe visibility** — observers that hook an instance
   (``OrderProbe`` on ``_process``, a test spy on ``store.write``) must
   still see every single apply;
@@ -117,6 +118,20 @@ class TestDifferential:
         assert machine_b.network._fanout_plans
         assert observables(result_a, machine_a) == observables(result_b, machine_b)
         assert sum(n.iface.applied_count for n in machine_b.nodes) > 0
+
+    def test_quick_rows_equal_on_cohort_path_and_traced_fallback(self, monkeypatch):
+        """Whole runs through takeover and handoff refreshes: the failover
+        run has a fault injector attached, so it takes the per-message
+        path either way; ``sharded_root`` takes the cohort path untraced.
+        Both must report the very same rows traced."""
+        from repro.experiments.registry import BY_NAME
+
+        experiments = [BY_NAME["failover"], BY_NAME["sharded_root"]]
+        untraced = [exp.run(**exp.quick) for exp in experiments]
+        # Every Simulator built without a tracer now gets an enabled one.
+        monkeypatch.setattr("repro.sim.kernel.NullTracer", Tracer)
+        traced = [exp.run(**exp.quick) for exp in experiments]
+        assert traced == untraced
 
 
 def writer(node, var, values, gap=0.3e-6):

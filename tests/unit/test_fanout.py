@@ -1,33 +1,29 @@
-"""Packet-train delivery parity: batched sends must be timing-transparent.
+"""Fan-out delivery parity: cohort sends must be timing-transparent.
 
-``Network.send_fanout`` and ``Network.send_fanout_train`` are pure
-mechanical optimizations over per-message ``send`` calls: every logical
-message keeps its own ChannelStats accounting and its own FIFO-clamped
-arrival time, and every destination handler sees the same messages in
-the same order at the same simulated instants.  These tests drive both
-paths with identical traffic and require the observable streams to be
-**equal**, not merely close.
+``Network.send_fanout`` is a pure mechanical optimization over one
+``send`` per target: every logical message keeps its own ChannelStats
+accounting and its own FIFO-clamped arrival time, and every destination
+handler sees the same messages in the same order at the same simulated
+instants, even though recipients whose arrivals coincide share one heap
+entry (a cohort).  These tests drive both paths with identical traffic
+and require the observable streams to be **equal**, not merely close.
 """
 
 from __future__ import annotations
 
-import random
-
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.loss import LossModel
-from repro.net.message import Message, fire_cohort, fire_train
+from repro.net.message import Message, fire_cohort
 from repro.net.network import Network
 from repro.net.topology import MeshTorus
 from repro.params import MachineParams
 from repro.sim.kernel import Simulator
 
 
-def make_net(n=9, loss_model=None, **params):
+def make_net(n=9, **params):
     sim = Simulator()
-    net = Network(sim, MeshTorus(n), MachineParams(**params), loss_model)
+    net = Network(sim, MeshTorus(n), MachineParams(**params))
     return sim, net
 
 
@@ -95,96 +91,6 @@ class TestFanoutParity:
         # The clamp actually engaged: node 1 got both at the same time.
         times_at_1 = [t for t, *_ in got_a[1]]
         assert times_at_1[0] == times_at_1[1]
-
-
-class TestTrainParity:
-    """send_fanout_train == send_fanout per entry, byte for byte."""
-
-    TARGETS = tuple(range(1, 9))
-
-    def run_fanouts(self, payloads, sizes, loss_model=None):
-        sim, net = make_net(loss_model=loss_model)
-        got = record_deliveries(sim, net, range(9))
-        for payload, size in zip(payloads, sizes):
-            net.send_fanout(0, self.TARGETS, "k", payload, size)
-        sim.run()
-        return got, stats_snapshot(net)
-
-    def run_train(self, payloads, sizes, loss_model=None):
-        sim, net = make_net(loss_model=loss_model)
-        got = record_deliveries(sim, net, range(9))
-        net.send_fanout_train(0, self.TARGETS, "k", payloads, sizes)
-        sim.run()
-        return got, stats_snapshot(net)
-
-    def test_equal_sizes_coalesce_identically(self):
-        payloads = [f"p{i}" for i in range(6)]
-        sizes = [16] * 6
-        got_a, stats_a = self.run_fanouts(payloads, sizes)
-        got_b, stats_b = self.run_train(payloads, sizes)
-        assert got_a == got_b
-        assert stats_a == stats_b
-
-    def test_equal_sizes_use_one_event_per_member(self):
-        """The point of the train: k same-size packets, one delivery event."""
-        sim, net = make_net()
-        events = []
-        for node in range(9):
-            net.attach(node, lambda msg: events.append(sim.now))
-        net.send_fanout_train(0, self.TARGETS, "k", ["p"] * 6, [16] * 6)
-        # 8 members x 6 packets = 48 deliveries from only 8 heap entries.
-        assert net._queue._live == 8
-        sim.run()
-        assert len(events) == 48
-
-    def test_mixed_sizes_split_segments_identically(self):
-        """A larger mid-train packet forces a later arrival; the smaller
-        one behind it clamps to it.  Arrival math must match unbatched."""
-        payloads = ["a", "b", "big", "c"]
-        sizes = [16, 16, 4096, 16]
-        got_a, stats_a = self.run_fanouts(payloads, sizes)
-        got_b, stats_b = self.run_train(payloads, sizes)
-        assert got_a == got_b
-        assert stats_a == stats_b
-        # Two distinct arrival instants per member: the pre-big pair and
-        # the big+clamped tail.
-        for node in self.TARGETS:
-            assert len({t for t, *_ in got_a[node]}) == 2
-
-    def test_single_entry_delegates_to_fanout(self):
-        got_a, stats_a = self.run_fanouts(["only"], [16])
-        got_b, stats_b = self.run_train(["only"], [16])
-        assert got_a == got_b
-        assert stats_a == stats_b
-
-    def test_loss_model_falls_back_to_per_message_sends(self):
-        """With a loss model attached the train path must defer to plain
-        sends so per-message drop decisions stay possible."""
-        payloads = [f"p{i}" for i in range(4)]
-        sizes = [16] * 4
-
-        def lossless():
-            return LossModel(0.0, random.Random(7))
-
-        got_a, stats_a = self.run_fanouts(payloads, sizes)
-        got_b, stats_b = self.run_train(payloads, sizes, loss_model=lossless())
-        assert got_a == got_b
-        assert stats_a == stats_b
-
-    def test_delivery_order_is_sequence_order(self):
-        got, _ = self.run_train([0, 1, 2, 3, 4], [16] * 5)
-        for node in self.TARGETS:
-            assert [payload for _, payload, _ in got[node]] == [0, 1, 2, 3, 4]
-
-
-class TestFireTrain:
-    def test_invokes_handler_per_message_in_order(self):
-        seen = []
-        msgs = tuple(
-            Message(src=0, dst=1, kind="k", payload=i) for i in range(3)
-        )
-        fire_train((seen.append, msgs))
-        assert seen == list(msgs)
 
 
 class TestCohorts:
@@ -426,36 +332,3 @@ class TestCohortInterleavingProperty:
         log_b, stats_b = _run_ops(ops, cohorts=True)
         assert log_a == log_b
         assert stats_a == stats_b
-
-
-class TestTrainPathTraceTransparency:
-    """Whole-run parity: a traced run takes the per-message fallback in
-    ``send_fanout_train``, and must still report the very same rows.
-
-    ``failover`` ships its takeover refreshes and ``sharded_root`` its
-    handoff refreshes as multi-packet trains.  The failover run has a
-    fault injector attached, so its trains take the per-message path
-    either way; ``sharded_root`` is where the train path engages.
-    """
-
-    def test_rows_equal_on_train_path_and_traced_fallback(self, monkeypatch):
-        import repro.net.network as network
-        from repro.experiments.registry import BY_NAME
-        from repro.sim.trace import Tracer
-
-        experiments = [BY_NAME["failover"], BY_NAME["sharded_root"]]
-        engaged = []
-
-        def counting_fire_train(arg):
-            engaged.append(len(arg[1]))
-            fire_train(arg)
-
-        monkeypatch.setattr(network, "fire_train", counting_fire_train)
-        on_trains = [exp.run(**exp.quick) for exp in experiments]
-        assert max(engaged, default=0) >= 2, "no multi-packet train engaged"
-        trains_untraced = len(engaged)
-        # Every Simulator built without a tracer now gets an enabled one.
-        monkeypatch.setattr("repro.sim.kernel.NullTracer", Tracer)
-        traced = [exp.run(**exp.quick) for exp in experiments]
-        assert len(engaged) == trains_untraced  # the fallback really ran
-        assert traced == on_trains
