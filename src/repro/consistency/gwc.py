@@ -31,6 +31,7 @@ from repro.memory.interface import ApplyPacket, UpdateRequest
 from repro.memory.sharing_group import SharingGroup
 from repro.memory.varspace import LockDecl
 from repro.net.message import Message
+from repro.sim.event import Event
 from repro.sim.kernel import Simulator
 
 
@@ -87,7 +88,10 @@ class GroupRootEngine:
         #: plus a trailing heartbeat that exposes tail loss.
         self._history: dict[int, ApplyPacket] = {}
         self._heartbeat_interval: float | None = None
-        self._heartbeat_event = None
+        #: The one live trailing-heartbeat event, and the reserved key of
+        #: the latest deadline it chases (see :meth:`_refresh_heartbeat`).
+        self._heartbeat_event: Event | None = None
+        self._heartbeat_key: tuple[float, int] = (0.0, -1)
         self.retransmissions = 0
         #: Members that dynamically disabled eagersharing, per variable.
         self._excluded: dict[str, set[int]] = {}
@@ -252,13 +256,31 @@ class GroupRootEngine:
             )
 
     def _refresh_heartbeat(self) -> None:
+        """Move the trailing heartbeat to one interval after this packet.
+
+        The new deadline's key is reserved, not pushed: one live event
+        chases the latest key (:meth:`_heartbeat_due`), so a run of k
+        packets leaves no cancelled heap entries, and the heartbeat still
+        pops at the very ``(time, seq)`` a cancel-and-reschedule gave it.
+        """
         if self._heartbeat_interval is None:
             return
-        if self._heartbeat_event is not None:
-            self.sim.cancel(self._heartbeat_event)
-        self._heartbeat_event = self.sim.schedule(
-            self._heartbeat_interval, self._emit_heartbeat
-        )
+        queue = self.sim._queue
+        time = self.sim.now + self._heartbeat_interval
+        seq = queue.reserve_seq()
+        self._heartbeat_key = (time, seq)
+        if self._heartbeat_event is None:
+            self._heartbeat_event = Event(time, seq, self._heartbeat_due)
+            queue.push_reserved(time, seq, self._heartbeat_event)
+
+    def _heartbeat_due(self) -> None:
+        event = self._heartbeat_event
+        time, seq = self._heartbeat_key
+        if event.seq != seq:
+            # A later packet moved the deadline while this key waited.
+            self.sim._queue.push_reserved(time, seq, event)
+            return
+        self._emit_heartbeat()
 
     def _emit_heartbeat(self) -> None:
         self._heartbeat_event = None

@@ -12,8 +12,10 @@ wraps every member interface's apply step and records the sequence of
 3. **agreement** — any two members agree on every sequence number both
    applied.
 
-The probe observes the interface from outside (it monkey-patches
-``_process``), so the protocol under test is unmodified.
+The probe observes the interface from outside (it replaces
+``_process`` on each member through
+:func:`~repro.memory.interface.install_apply_spy`), so the protocol
+under test is unmodified.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.errors import ConsistencyError
+from repro.memory.interface import install_apply_spy
 
 
 class OrderProbe:
@@ -44,7 +47,7 @@ class OrderProbe:
                     )
                 original(packet)
 
-            iface._process = spy  # type: ignore[method-assign]
+            install_apply_spy(iface, iface, "_process", spy)
 
     def verify(self) -> None:
         """Raise :class:`ConsistencyError` on any total-order violation."""

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from types import MethodType
 from typing import Any, Callable
 
 from repro.errors import MemoryError_, SequencingError
@@ -113,6 +112,12 @@ class ApplyPacket:
 
 class NodeInterface:
     """The memory-sharing hardware interface of one node."""
+
+    #: Set by :func:`install_apply_spy` once an observer replaced this
+    #: interface's ``_process`` or its store's ``write`` on the instance;
+    #: :func:`apply_cohort` then routes every apply through them.  A class
+    #: default, so an unobserved interface pays one plain attribute read.
+    apply_spied = False
 
     def __init__(
         self,
@@ -682,6 +687,19 @@ class NodeInterface:
                 handler(packet.value)
 
 
+def install_apply_spy(
+    iface: NodeInterface, owner: Any, name: str, spy: Callable[..., None]
+) -> None:
+    """Replace ``owner.<name>`` with ``spy`` and route applies through it.
+
+    ``owner`` is ``iface`` (``name="_process"``) or ``iface.store``
+    (``name="write"``); the spy is set on the instance, and the interface
+    is marked ``apply_spied`` so :func:`apply_cohort` never commits past it.
+    """
+    setattr(owner, name, spy)
+    iface.apply_spied = True
+
+
 def apply_cohort(cohort: tuple) -> None:
     """Deliver one sequenced apply to every interface of a cohort.
 
@@ -694,10 +712,14 @@ def apply_cohort(cohort: tuple) -> None:
     nothing buffered skips :meth:`NodeInterface._receive`, and a plain
     commit — a value for a declared variable, no failover evidence to
     keep, not this node's own mutex-data echo (Figure 6), no interrupt
-    armed on it — skips :meth:`NodeInterface._process`.  A recipient
-    whose ``_process`` or ``store.write`` is overridden on the instance
-    (``OrderProbe``, test spies) always goes through them: an observer
-    sees every apply.
+    armed on it — skips :meth:`NodeInterface._process`.
+
+    Spy contract: an observer that replaces a recipient's ``_process``
+    or ``store.write`` on the instance (``OrderProbe``, test spies) must
+    do so through :func:`install_apply_spy`, which sets
+    ``apply_spied``; such a recipient always goes through both, so the
+    observer sees every apply.  A bare assignment is not detected, and
+    the inline commit bypasses it.
     """
     packet = cohort[1]
     group = packet.group
@@ -730,12 +752,7 @@ def apply_cohort(cohort: tuple) -> None:
             or iface.nack_timeout is not None
             or (echo and origin == iface.node)
             or (is_lock and var in iface._interrupts)
-            # An instance override is a plain function, not a bound
-            # method.  (Probing ``__dict__`` instead would materialize the
-            # instance dict, after which CPython 3.11 misses its fast
-            # attribute path on every later load from that instance.)
-            or type(iface._process) is not MethodType
-            or type(store.write) is not MethodType
+            or iface.apply_spied
         ):
             iface._process(packet)
             continue
@@ -743,6 +760,6 @@ def apply_cohort(cohort: tuple) -> None:
         slot[0] = value
         slot[1] += 1
         signal = slot[2]
-        if signal is not None:
+        if signal is not None and signal._waiters:
             signal.fire(value)
         iface.applied_count += 1

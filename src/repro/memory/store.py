@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Any, Callable, Generator
 
 from repro.errors import UnknownVariableError
-from repro.sim.waiters import Signal
+from repro.sim.waiters import PredicateWait, Signal
 
 #: Slot indices (one list per variable).
 _VALUE = 0
@@ -66,7 +66,7 @@ class LocalStore:
         slot[0] = value
         slot[1] += 1
         signal = slot[2]
-        if signal is not None:
+        if signal is not None and signal._waiters:
             signal.fire(value)
 
     def signal_for(self, name: str) -> Signal:
@@ -88,18 +88,27 @@ class LocalStore:
         """Process helper: wait until ``predicate(value)`` holds.
 
         Checks the current value first, so an already-true predicate does
-        not wait at all.  Re-reads the store after every wake-up (rather
-        than trusting the fired payload) because several sequenced applies
-        can land between the signal fire and the process resuming; the
-        store always holds the latest committed value.  Returns the
-        satisfying value.
+        not wait at all.  Otherwise one :class:`PredicateWait` waits on
+        the variable's signal for the whole call: each write is tested
+        at fire time, and only a write that makes the predicate true
+        resumes the process — a false one costs it nothing, yet leaves
+        every other heap key where a resume-and-re-test would have (see
+        :class:`PredicateWait`).  Re-reads the store after every wake-up
+        (rather than trusting the fired payload) because several
+        sequenced applies can land between the fire and the process
+        resuming; the store always holds the latest committed value.
+        Returns the satisfying value.
         """
         value = self.read(name)
         signal = self.signal_for(name)
-        while not predicate(value):
-            yield signal
+        if predicate(value):
+            return value
+        wait = PredicateWait(signal, predicate)
+        while True:
+            yield wait
             value = self.read(name)
-        return value
+            if predicate(value):
+                return value
 
     def snapshot(self, names: tuple[str, ...] | list[str]) -> dict[str, Any]:
         """Copy of the named variables (for rollback saving)."""

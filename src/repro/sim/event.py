@@ -130,6 +130,33 @@ class EventQueue:
         heappush(self._heap, (time, seq, fn, arg))
         self._live += 1
 
+    def reserve_seq(self) -> int:
+        """Take the next sequence number without scheduling anything.
+
+        The holder may later push at that number with
+        :meth:`push_reserved`, or never: every key pushed after the
+        reservation stays what it would have been had an entry taken the
+        number.  This lets a caller drop an entry whose execution would
+        be a no-op without moving any other entry's ``(time, seq)``.
+        """
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        return seq
+
+    def push_reserved(self, time: float, seq: int, target: Any) -> None:
+        """Schedule ``target`` at ``(time, seq)``, a number from :meth:`reserve_seq`.
+
+        ``target`` is a bare callable or an :class:`Event`; an event is
+        re-keyed and becomes live (and cancellable) again, so a popped
+        event may re-push itself at a reserved key.
+        """
+        if target.__class__ is Event:
+            target.time = time
+            target.seq = seq
+            target._queue = self
+        heappush(self._heap, (time, seq, target))
+        self._live += 1
+
     def pop(self) -> Event:
         """Remove and return the earliest non-cancelled event.
 

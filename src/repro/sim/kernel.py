@@ -38,6 +38,11 @@ class Simulator:
     def __init__(self, seed: int = 0, tracer: Tracer | None = None) -> None:
         self._queue = EventQueue()
         self._now = 0.0
+        #: The ``seq`` of the entry being executed (of the last one popped
+        #: between events).  With :attr:`_now` it is the position of the
+        #: run in the heap schedule: a key reserved at ``(_now, s)`` with
+        #: ``s > _seq`` has not been reached yet.
+        self._seq = -1
         self._running = False
         self.rng = RngStreams(seed)
         self.tracer = tracer if tracer is not None else NullTracer()
@@ -121,6 +126,7 @@ class Simulator:
                 f"event queue went backwards: {event.time} < {self._now}"
             )
         self._now = event.time
+        self._seq = event.seq
         event.fn()
         return self._now
 
@@ -175,6 +181,7 @@ class Simulator:
                             f"event queue went backwards: {time} < {self._now}"
                         )
                     self._now = time
+                    self._seq = entry[1]
                     if is_event:
                         target._queue = None
                         target.fn()
@@ -205,6 +212,7 @@ class Simulator:
                         f"event queue went backwards: {time} < {self._now}"
                     )
                 self._now = time
+                self._seq = entry[1]
                 if is_event:
                     target._queue = None
                     target.fn()

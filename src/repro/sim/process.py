@@ -9,6 +9,8 @@ Yielded value            Meaning
 ``float`` / ``int``      Sleep for that many simulated seconds (``>= 0``).
 :class:`Future`          Wait until resolved; ``yield`` returns the value.
 :class:`Signal`          Wait for the next fire; ``yield`` returns payload.
+:class:`PredicateWait`   Wait for a fire whose payload satisfies the
+                         predicate; re-read the value after the ``yield``.
 :class:`Process`         Join: wait until that process finishes; ``yield``
                          returns its return value.
 ``None``                 Reschedule immediately (lets same-time events run).
@@ -24,7 +26,7 @@ from functools import partial
 from typing import Any, Generator
 
 from repro.errors import ProcessError
-from repro.sim.waiters import Future, Signal
+from repro.sim.waiters import Future, PredicateWait, Signal
 
 
 class Process:
@@ -138,6 +140,11 @@ class Process:
             self.waiting_on = request
             self.waiting_since = self.sim._now
             request.add_callback(self._resume_later)
+        elif request.__class__ is PredicateWait:
+            request.process = self
+            self.waiting_on = request.signal
+            self.waiting_since = self.sim._now
+            request.signal.add_callback(request)
         elif request.__class__ is float or request.__class__ is int:
             if request < 0:
                 raise ProcessError(

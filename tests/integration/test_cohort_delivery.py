@@ -11,9 +11,9 @@ observer can see may depend on that:
   state hash, the makespan, and every per-node apply / filter / write /
   signal count; the quick ``failover`` and ``sharded_root`` rows, whole
   runs through takeover and handoff refreshes, must be equal too;
-* **probe visibility** — observers that hook an instance
-  (``OrderProbe`` on ``_process``, a test spy on ``store.write``) must
-  still see every single apply;
+* **probe visibility** — observers that hook an instance through
+  ``install_apply_spy`` (``OrderProbe`` on ``_process``, a test spy on
+  ``store.write``) must still see every single apply;
 * **interrupt atomicity** — a lock interrupt armed on one member fires
   inside the cohort's event, at that member's turn.
 """
@@ -24,7 +24,7 @@ import pytest
 
 from repro.consistency.order_probe import OrderProbe
 from repro.core.machine import DSMMachine
-from repro.memory.interface import ApplyPacket
+from repro.memory.interface import ApplyPacket, install_apply_spy
 from repro.memory.varspace import grant_value
 from repro.sim.trace import Tracer
 from repro.workloads.counter import CounterConfig, run_counter
@@ -175,7 +175,7 @@ class TestProbeVisibility:
                 log.append(packet.seq)
                 original(packet)
 
-            iface._process = spy
+            install_apply_spy(iface, iface, "_process", spy)
         machine.spawn(writer(machine.nodes[2], "x", range(1, 8)), name="w")
         machine.run()
         assert seen[1] == seen[4] == list(range(7))
@@ -192,7 +192,7 @@ class TestProbeVisibility:
                 log.append((name, value))
                 original(name, value)
 
-            node.store.write = spy
+            install_apply_spy(node.iface, node.store, "write", spy)
         machine.spawn(writer(machine.nodes[3], "x", ["a", "b", "c", "d"]), name="w")
         machine.run()
         assert machine.network._fanout_plans

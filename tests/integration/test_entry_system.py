@@ -5,9 +5,6 @@ and demand-fetch behaviour."""
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import heapq
-import struct
 
 import pytest
 
@@ -21,6 +18,7 @@ from repro.params import PAPER_PARAMS
 from repro.sim.event import Event
 from repro.workloads.base import finish
 from repro.workloads.pipeline import PipelineConfig, _build_pipeline, run_pipeline
+from tests.schedule import popped_schedule_sha256
 
 
 def build(n=4, topology="mesh_torus", params=PAPER_PARAMS, **system_kwargs):
@@ -442,32 +440,14 @@ def test_sessions_are_group_mutually_exclusive(owner_oracle):
     assert system._home("plain") == 5
 
 
-def popped_schedule_sha256(monkeypatch, sim, run):
-    """sha256 over the ``(time, seq)`` of every entry ``Simulator.run``
-    pops off ``sim``'s heap while ``run()`` executes."""
-    digest = hashlib.sha256()
-    heap = sim._queue._heap
-    real_pop = heapq.heappop
-
-    def recording_pop(target):
-        entry = real_pop(target)
-        if target is heap:
-            digest.update(struct.pack("<dq", entry[0], entry[1]))
-        return entry
-
-    with monkeypatch.context() as patch:
-        patch.setattr(heapq, "heappop", recording_pop)
-        run()
-    return digest.hexdigest()
-
-
 class TestPinnedSchedule:
     """The heap schedule itself is pinned, not just the results: each
     constant is the digest of the popped ``(time, seq)`` stream computed
     by this very code on commit 4b0e200 (the parent of the fetch-path
     rewrite; ``tools/bench_pairs.export_revision`` gives that tree, run
-    this file's helpers with ``PYTHONPATH=<tree>/src``).  A change that
-    moves, adds or drops one heap entry moves the digest."""
+    this file's builders and ``tests/schedule.py`` with
+    ``PYTHONPATH=<tree>/src``).  A change that moves, adds or drops one
+    heap entry moves the digest."""
 
     PIPELINE = "26e815929fb4e929bd510bafc2f6db25ec5d78b2ff96812b99d343efcb1f3551"
     CONTENDED_GUESSING = (

@@ -11,6 +11,7 @@ import pytest
 
 from repro.consistency.base import make_system
 from repro.core.machine import DSMMachine
+from repro.memory.interface import install_apply_spy
 from repro.memory.varspace import FREE_VALUE, grant_value
 from repro.sim.trace import Tracer
 
@@ -39,7 +40,7 @@ class TestTotalOrder:
                     applied[nid].append(value)
                 original(name, value)
 
-            node.store.write = spy  # type: ignore[method-assign]
+            install_apply_spy(node.iface, node.store, "write", spy)
 
         def writer(node, values):
             for v in values:

@@ -7,6 +7,7 @@ import pytest
 from repro.consistency.base import make_system
 from repro.core.machine import DSMMachine
 from repro.core.section import Section
+from repro.memory.interface import install_apply_spy
 from repro.params import MachineParams
 
 
@@ -141,7 +142,7 @@ class TestOverlappingGroupsUnordered:
                     order_seen[nid].append(name)
                 original(name, value)
 
-            node.store.write = spy  # type: ignore[method-assign]
+            install_apply_spy(node.iface, node.store, "write", spy)
 
         def writer_a(node):
             node.iface.share_write("a", 1)

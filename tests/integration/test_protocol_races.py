@@ -7,6 +7,7 @@ import pytest
 from repro.consistency.base import make_system
 from repro.core.machine import DSMMachine
 from repro.errors import ReproError
+from repro.memory.interface import install_apply_spy
 from repro.workloads.lock_bench import LockBenchConfig, run_lock_bench
 
 
@@ -128,7 +129,7 @@ class TestGwcFreeGrantSequencing:
                 lock_values_seen.append(value)
             original(name, value)
 
-        node3.store.write = spy  # type: ignore[method-assign]
+        install_apply_spy(node3.iface, node3.store, "write", spy)
 
         def first(node):
             yield from system.acquire(node, "L")

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.machine import DSMMachine
 from repro.errors import MemoryError_
+from repro.sim.event import Event
 
 
 def build(loss_rate=0.1, seed=0, n=4):
@@ -107,3 +108,59 @@ class TestHeartbeat:
         machine.run(max_events=200_000)
         beats = machine.network.stats.by_kind.get("gwc.heartbeat", 0)
         assert beats == 3  # exactly one burst to the 3 non-root members
+
+
+class TestTrailingHeartbeatKey:
+    """A run of sequenced packets moves the trailing heartbeat by
+    reserving its key: one live event chases the latest deadline and
+    pops there, and no cancelled entry is left in the heap."""
+
+    def run_writes(self, machine, after_writes=None):
+        engine = machine.nodes[0].iface.root_engines["g"]
+        engine.enable_reliability(heartbeat_interval=5e-6)
+        refreshed, emitted = [], []
+        refresh, emit = engine._refresh_heartbeat, engine._emit_heartbeat
+
+        def recording_refresh():
+            refresh()
+            heap = machine.sim._queue._heap
+            events = [e[2] for e in heap if e[2].__class__ is Event]
+            assert [e.cancelled for e in events] == [False]
+            refreshed.append((machine.sim.now, engine._heartbeat_key))
+
+        def recording_emit():
+            emitted.append(machine.sim.now)
+            emit()
+
+        engine._refresh_heartbeat = recording_refresh
+        engine._emit_heartbeat = recording_emit
+
+        def writer(node):
+            for i in range(5):
+                node.iface.share_write("x", i)
+                yield 1e-6
+            if after_writes is not None:
+                after_writes(engine)
+
+        machine.spawn(writer(machine.nodes[1]), name="w")
+        machine.run()
+        return engine, refreshed, emitted
+
+    def test_one_live_event_pops_at_the_latest_key(self):
+        machine = build(loss_rate=0.0)
+        engine, refreshed, emitted = self.run_writes(machine)
+        assert len(refreshed) == 5
+        last_time, (deadline, _seq) = refreshed[-1]
+        assert deadline == last_time + 5e-6
+        assert emitted == [deadline]
+        assert machine.network.stats.by_kind["gwc.heartbeat"] == 3
+        assert engine._heartbeat_event is None
+
+    def test_an_immediate_heartbeat_cancels_the_trailing_one(self):
+        machine = build(loss_rate=0.0)
+        engine, refreshed, emitted = self.run_writes(
+            machine, after_writes=lambda engine: engine.emit_heartbeat()
+        )
+        # Only the immediate announcement; the chased deadline never pops.
+        assert len(emitted) == 1 and emitted[0] < refreshed[-1][1][0]
+        assert machine.network.stats.by_kind["gwc.heartbeat"] == 3

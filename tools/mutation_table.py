@@ -104,6 +104,9 @@ MUTANTS: list[Mutant] = [
            "self._suspended_queue.popleft()", "self._suspended_queue.pop()"),
     Mutant("signal_fire_reversed", "sim/waiters.py",
            "for callback in waiters:", "for callback in reversed(waiters):"),
+    Mutant("wake_filter_ignores_pending_slot", "sim/waiters.py",
+           "sim._queue.push_reserved(now, self.slot_seq, process._resume_none)",
+           "process._resume_later(payload)"),
     Mutant("rollback_restore_skipped", "locks/optimistic.py",
            "        restore_from_rollback(node, section, saved)\n", "        pass\n"),
     Mutant("hidden_root_lock_read", "locks/optimistic.py",
