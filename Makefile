@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test smoke goldens verify-goldens bench bench-full bench-selftest bench-pairs mutation-table profile examples figures all clean
+.PHONY: install test smoke goldens verify-goldens bench-selftest bench-pairs mutation-table profile examples figures all clean
 
 install:
 	$(PY) setup.py develop
@@ -30,12 +30,6 @@ verify-goldens:
 goldens:
 	REPRO_REGEN_GOLDENS=1 PYTHONPATH=src $(PY) -m repro update-goldens
 
-bench:
-	PYTHONPATH=src $(PY) -m pytest benchmarks/ --benchmark-only
-
-bench-full:
-	REPRO_FULL=1 PYTHONPATH=src $(PY) -m pytest benchmarks/ --benchmark-only -s
-
 # Self-test of the layered benchmark (BENCHMARK.json's ruler): drives
 # the contract command with --trace 1 on every workload at quick sizes,
 # so a change that breaks the ruler fails here first.
@@ -53,8 +47,8 @@ bench-pairs:
 	$(PY) tools/bench_pairs.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS) $(if $(EXACT),--exact)
 
 # Which test tier (goldens, smoke, unit) catches which seeded ordering
-# bug: one row per mutant, exit 1 if one survives every tier.  About
-# 35 s per mutant, so run by hand, not in `make test` or CI.
+# bug: one row per mutant, exit 1 if one survives every tier.  Under
+# a minute per mutant, so run by hand, not in `make test` or CI.
 mutation-table:
 	$(PY) tools/mutation_table.py
 
@@ -78,7 +72,7 @@ examples:
 figures:
 	PYTHONPATH=src $(PY) -m repro reproduce
 
-all: test bench
+all: test verify-goldens
 
 clean:
 	rm -rf .pytest_cache src/repro.egg-info

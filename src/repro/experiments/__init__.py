@@ -5,12 +5,12 @@ relevant parameter (consistency system, network size, threshold, ...),
 returns structured rows, and can render the same series the paper's
 figure reports via :func:`repro.metrics.report.format_table` — and one
 :class:`~repro.experiments.common.Experiment` declaration, from which
-the CLI subcommand, golden surface, smoke run and benchmark are derived
+the CLI subcommand, golden surfaces and smoke run are derived
 (:mod:`repro.experiments.registry`).
 
-The benchmark harness in ``benchmarks/`` runs the quick presets by
-default; set the environment variable ``REPRO_FULL=1`` to run the
-paper-scale sweeps (1024 tasks, up to 129 processors).
+Every sweep runs its quick preset by default; ``repro <name> --full``
+(library: ``run_figure2(**figure2.FULL)``) runs the paper's scale (1024
+tasks, up to 129 processors).
 """
 
 from importlib import import_module
@@ -21,12 +21,9 @@ _EXPORTS = {
     "Figure1Row": "figure1",
     "Figure2Row": "figure2",
     "Figure8Row": "figure8",
-    "SCALE_FULL": "common",
-    "SCALE_QUICK": "common",
     "run_figure1": "figure1",
     "run_figure2": "figure2",
     "run_figure8": "figure8",
-    "sweep_scale": "common",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -10,7 +10,6 @@ smoke configuration.  See ``docs/FAULTS.md``.
 
 from __future__ import annotations
 
-import sys
 from typing import Any, Sequence
 
 from repro.experiments.common import (
@@ -208,8 +207,7 @@ FAILOVER = _chaos_experiment(
 
 
 def _run_campaign(**fields: Any) -> Files:
-    progress = lambda line: print(line, file=sys.stderr)  # noqa: E731
-    campaign = run_campaign(CampaignConfig(**fields), out=progress)
+    campaign = run_campaign(CampaignConfig(**fields))
     return {"campaign.csv": campaign.outcomes}
 
 

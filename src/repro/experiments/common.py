@@ -4,42 +4,21 @@ The paper's sweeps run 1024 tasks on up to 129 processors; that is
 minutes of wall-clock in a pure-Python simulator, too slow for a unit
 test loop.  Experiments therefore support two scales:
 
-* ``quick`` — reduced sizes, used by default in tests and benchmarks;
-* ``full``  — the paper's sizes, enabled with ``--full`` on the CLI or
-  ``REPRO_FULL=1`` for library and benchmark runs (used to produce the
-  numbers recorded in EXPERIMENTS.md).
+* ``quick`` — reduced sizes, the default everywhere;
+* ``full``  — the paper's sizes, selected with ``--full`` on the CLI
+  (library: ``run(**FULL)``); they produce the numbers recorded in
+  EXPERIMENTS.md, pinned by the ``<name>@full`` goldens.
 
 Every experiment family is declared once, as an :class:`Experiment`
-beside its ``run_*`` function; the CLI subcommand, golden surface, smoke
-run and bench wrapper are derived from it (see
-:mod:`repro.experiments.registry`).
+beside its ``run_*`` function; the CLI subcommand, golden surfaces and
+smoke run are derived from it (see :mod:`repro.experiments.registry`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
-
-SCALE_QUICK = "quick"
-SCALE_FULL = "full"
-
-#: Environment variable that switches benchmarks to paper scale.
-FULL_ENV = "REPRO_FULL"
-
-
-def sweep_scale() -> str:
-    """The active scale, from the ``REPRO_FULL`` environment variable."""
-    return SCALE_FULL if os.environ.get(FULL_ENV, "") not in ("", "0") else SCALE_QUICK
-
-
-def scale_preset(
-    quick: Mapping[str, Any], full: Mapping[str, Any] | None
-) -> Mapping[str, Any]:
-    """``full`` under ``REPRO_FULL=1`` (when there is one), else ``quick``."""
-    return full if full is not None and sweep_scale() == SCALE_FULL else quick
-
 
 @dataclass(frozen=True, slots=True)
 class PaperExpectation:
@@ -123,11 +102,12 @@ class Experiment:
 
     ``quick`` is the pinned parameter set that is at once CLI default,
     golden surface and smoke run; ``full`` is what ``--full`` selects
-    (``None``: no paper scale); parameters a preset leaves out keep the
+    and the ``<name>@full`` golden surface snapshots (``None``: no
+    paper scale); parameters a preset leaves out keep the
     defaults of ``run``.  ``run(**params)`` returns the artefacts, which
     ``render`` (default: print them as recorded) and ``expectations``
-    read back.  A failed expectation is exit code 1, a refused golden
-    snapshot and a failed benchmark alike.
+    read back.  A failed expectation is exit code 1 and a refused golden
+    snapshot alike.
     """
 
     name: str

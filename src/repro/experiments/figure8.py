@@ -24,7 +24,6 @@ from repro.experiments.common import (
     Flag,
     PaperExpectation,
     claims_payload,
-    scale_preset,
 )
 from repro.experiments.runner import SweepExecutor
 from repro.metrics.report import format_table
@@ -61,8 +60,8 @@ def _figure8_series(config: PipelineConfig) -> tuple[float, int]:
 
 
 def run_figure8(
-    sizes: tuple[int, ...] | None = None,
-    data_size: int | None = None,
+    sizes: tuple[int, ...] = QUICK["sizes"],
+    data_size: int = QUICK["data_size"],
     local_time: float = 10e-6,
     mutex_ratio: float = 8.0,
     item_bytes: int = 64,
@@ -77,9 +76,6 @@ def run_figure8(
     ``REPRO_JOBS``, else every usable CPU) fans them across worker
     processes, largest network first, without changing any result.
     """
-    scale = scale_preset(QUICK, FULL)
-    sizes = sizes if sizes is not None else scale["sizes"]
-    data_size = data_size if data_size is not None else scale["data_size"]
     configs = []
     for n_nodes in sizes:
         base = dict(
@@ -194,12 +190,14 @@ def _paper_scale_bands(rows: list[Figure8Row]) -> list[PaperExpectation]:
     ]
 
 
+def _checks(rows: list[Figure8Row]) -> list[PaperExpectation]:
+    """Every claim a sweep is checked against: its paper-scale bands too."""
+    return expectations(rows) + _paper_scale_bands(rows)
+
+
 def _run(**params) -> Files:
     rows = run_figure8(**params)
-    return {
-        "figure8.csv": rows,
-        "expectations.json": claims_payload(expectations(rows)),
-    }
+    return {"figure8.csv": rows, "expectations.json": claims_payload(_checks(rows))}
 
 
 EXPERIMENT = Experiment(
@@ -209,8 +207,7 @@ EXPERIMENT = Experiment(
     full=FULL,
     run=_run,
     render=lambda files: render(files["figure8.csv"]),
-    expectations=lambda files: expectations(files["figure8.csv"])
-    + _paper_scale_bands(files["figure8.csv"]),
+    expectations=lambda files: _checks(files["figure8.csv"]),
     flags=(SIZES, Flag("--data", "data_size"), JOBS),
     chart=lambda files: chart(files["figure8.csv"]),
 )

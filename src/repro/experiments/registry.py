@@ -1,10 +1,10 @@
 """The one list of experiments.
 
-The CLI's subcommands and ``repro reproduce``, the golden surfaces and
-the parametrized benchmark all loop over :data:`EXPERIMENTS`; adding an
-experiment is one declaration and one entry here.  Only those consumers
-import this module, so a library user who runs one sweep does not pay
-for loading the fault stack.
+The CLI's subcommands, ``repro reproduce`` and the golden surfaces all
+loop over :data:`EXPERIMENTS`; adding an experiment is one declaration
+and one entry here.  Only those consumers import this module, so a
+library user who runs one sweep does not pay for loading the fault
+stack.
 """
 
 from __future__ import annotations

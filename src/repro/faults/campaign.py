@@ -526,11 +526,8 @@ class CampaignResult:
         return [outcome.row for outcome in self.outcomes]
 
 
-def run_campaign(
-    config: CampaignConfig, out: Callable[[str], None] | None = None
-) -> CampaignResult:
+def run_campaign(config: CampaignConfig) -> CampaignResult:
     """Run every trial; minimize and bundle each failure."""
-    say = out if out is not None else lambda line: None
     campaign = CampaignResult(config=config)
     for trial in campaign_trials(config):
         try:
@@ -547,16 +544,11 @@ def run_campaign(
                 ),
             )
             campaign.outcomes.append(outcome)
-            say(f"[campaign] trial {trial.index:<3d} ERROR {detail}")
             continue
         signature = failure_signature(result)
         minimized: Minimization | None = None
         bundle_path: str | None = None
         if signature is not None and config.minimize:
-            say(
-                f"[campaign] trial {trial.index} failed "
-                f"({'/'.join(signature)}); minimizing..."
-            )
             minimized = minimize_failure(
                 trial.config, signature, probe_budget=config.probe_budget
             )
@@ -585,11 +577,6 @@ def run_campaign(
             bundle_path=bundle_path,
         )
         campaign.outcomes.append(outcome)
-        say(
-            f"[campaign] trial {trial.index:<3d} {trial.profile:<10s} "
-            f"{trial.system:<14s} {trial.topology:<11s} "
-            f"{'ok' if outcome.ok else 'FAIL ' + '/'.join(signature or ())}"
-        )
     return campaign
 
 

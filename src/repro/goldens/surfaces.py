@@ -3,11 +3,13 @@
 A *surface* is one reproducible artifact set, and every surface is
 derived from the experiment registry: it renders what
 ``experiment.run(**experiment.quick)`` returns, in memory, as the
-``{file name: text}`` its golden directory holds.  The presets pin
-every scale explicitly — never environment-dependent defaults
-(``REPRO_FULL``) — so two runs on any two hosts produce byte-identical
-files, and a run whose expectations fail is refused rather than
-snapshotted.
+``{file name: text}`` its golden directory holds.  An experiment that
+declares a paper scale gets a second surface, ``<name>@full``, that
+does the same with ``experiment.full`` — the run ``repro <name>
+--full`` prints — so every number compared with the paper is pinned.
+The presets pin every scale explicitly, so two runs on any two hosts
+produce byte-identical files, and a run whose expectations fail is
+refused rather than snapshotted.
 
 Everything recorded here is simulated-time deterministic; wall-clock
 measurements live in the benchmark (``BENCHMARK.json``), never in a
@@ -36,11 +38,14 @@ class Surface:
     generate: Callable[[], dict[str, str]]
 
 
-def _experiment_surface(experiment: Experiment) -> Surface:
-    """The surface that snapshots ``experiment`` at its quick preset."""
+def _experiment_surface(experiment: Experiment, full: bool = False) -> Surface:
+    """The surface that snapshots ``experiment`` at its quick preset or,
+    with ``full``, the ``<name>@full`` one at its paper-scale preset."""
+    name = f"{experiment.name}@full" if full else experiment.name
+    params = experiment.full if full else experiment.quick
 
     def generate() -> dict[str, str]:
-        files = experiment.run(**experiment.quick)
+        files = experiment.run(**params)
         failed = [
             check.claim
             for check in experiment.expectations(files)
@@ -48,18 +53,23 @@ def _experiment_surface(experiment: Experiment) -> Surface:
         ]
         if failed:
             raise ExperimentError(
-                f"{experiment.name}: refusing to snapshot a run whose "
+                f"{name}: refusing to snapshot a run whose "
                 f"expectation(s) failed: {'; '.join(failed)}"
             )
         return {
-            name: artefact_text(name, content) for name, content in files.items()
+            file: artefact_text(file, content) for file, content in files.items()
         }
 
-    return Surface(experiment.name, generate)
+    return Surface(name, generate)
 
 
-#: Every artifact-producing surface, in verification order (fast first).
-SURFACES: tuple[Surface, ...] = tuple(map(_experiment_surface, EXPERIMENTS))
+#: Every artifact-producing surface, in verification order: the quick
+#: ones (fast first), then the paper-scale ones.
+SURFACES: tuple[Surface, ...] = tuple(map(_experiment_surface, EXPERIMENTS)) + tuple(
+    _experiment_surface(exp, full=True)
+    for exp in EXPERIMENTS
+    if exp.full is not None
+)
 
 SURFACES_BY_NAME: dict[str, Surface] = {s.name: s for s in SURFACES}
 

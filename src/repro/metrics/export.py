@@ -1,8 +1,8 @@
 """CSV export for experiment rows.
 
-The benchmark harness archives human-readable tables; this module
-additionally emits machine-readable CSV so the series can be re-plotted
-with external tooling.  Rows may be dataclasses, mappings, objects with a
+The CLI prints human-readable tables; this module additionally emits
+machine-readable CSV so the series can be re-plotted with external
+tooling.  Rows may be dataclasses, mappings, objects with a
 ``csv_row()`` method, or plain sequences.  Rows end in LF, not the
 ``csv`` module's default CRLF: the committed goldens are these bytes,
 compared as they are.

@@ -1,7 +1,7 @@
 """Plain-text tables for experiment output.
 
-The benchmark harness prints the same rows/series the paper's figures
-report; this module renders them readably without external dependencies.
+The CLI prints the same rows/series the paper's figures report; this
+module renders them readably without external dependencies.
 """
 
 from __future__ import annotations

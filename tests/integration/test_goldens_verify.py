@@ -201,7 +201,9 @@ class TestDeterminism:
         assert surface.generate() == surface.generate()
 
     def test_every_surface_is_registered(self):
-        assert set(surface_names()) == {exp.name for exp in EXPERIMENTS}
+        assert set(surface_names()) == {exp.name for exp in EXPERIMENTS} | {
+            f"{exp.name}@full" for exp in EXPERIMENTS if exp.full is not None
+        }
 
 
 class TestCommittedGoldens:
@@ -220,6 +222,16 @@ class TestCommittedGoldens:
             goldens, only=("figure1", "replication"), out=lines.append
         )
         assert code == 0, "\n".join(lines)
+
+    def test_verify_writes_only_through_out(self, capfd):
+        # The gate's status lines are its only output: a surface's run
+        # (here the campaign's trials) prints nothing of its own.
+        lines = []
+        code = verify_goldens(
+            REPO_ROOT / "goldens", only=("campaign",), out=lines.append
+        )
+        assert code == 0, "\n".join(lines)
+        assert capfd.readouterr() == ("", "")
 
     def test_committed_tree_has_no_orphans(self):
         assert orphan_dirs(REPO_ROOT / "goldens", SURFACES) == []

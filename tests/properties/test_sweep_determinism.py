@@ -62,9 +62,8 @@ def _figure2_in_daemon(queue) -> None:
 
 @pytest.fixture
 def quick_env(monkeypatch):
-    """The quick presets and the default job count."""
-    for key in ("REPRO_FULL", JOBS_ENV):
-        monkeypatch.delenv(key, raising=False)
+    """The default job count (the sweeps default to their quick presets)."""
+    monkeypatch.delenv(JOBS_ENV, raising=False)
 
 
 class TestParallelMatchesSerial:

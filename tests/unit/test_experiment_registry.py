@@ -27,19 +27,24 @@ class _Ran(Exception):
     """Raised by the spy so no experiment actually runs."""
 
 
-def _spy_on(monkeypatch, name):
-    """Swap the subcommand's experiment for one whose run records kwargs."""
-    calls = []
+def _spy(calls):
+    """A ``run`` that records its kwargs in ``calls`` and raises ``_Ran``."""
 
     def spy(**params):
         calls.append(params)
         raise _Ran
 
+    return spy
+
+
+def _spy_on(monkeypatch, name):
+    """Swap the subcommand's experiment for one whose run records kwargs."""
+    calls = []
     real_parser = cli._add_experiment_parser
 
     def add_parser(sub, exp):
         if exp.name == name:
-            exp = dataclasses.replace(exp, run=spy)
+            exp = dataclasses.replace(exp, run=_spy(calls))
         return real_parser(sub, exp)
 
     monkeypatch.setattr(cli, "_add_experiment_parser", add_parser)
@@ -48,8 +53,7 @@ def _spy_on(monkeypatch, name):
 
 @pytest.fixture
 def no_repro_env(monkeypatch):
-    for key in ("REPRO_FULL", "REPRO_JOBS"):
-        monkeypatch.delenv(key, raising=False)
+    monkeypatch.delenv("REPRO_JOBS", raising=False)
 
 
 @pytest.mark.parametrize("exp", EXPERIMENTS, ids=lambda exp: exp.name)
@@ -147,7 +151,29 @@ class TestExitCodes:
 
 class TestGoldensFollowTheRegistry:
     def test_every_experiment_is_a_surface(self):
-        assert set(surface_names()) == {exp.name for exp in EXPERIMENTS}
+        assert set(surface_names()) == {exp.name for exp in EXPERIMENTS} | {
+            f"{exp.name}@full" for exp in EXPERIMENTS if exp.full is not None
+        }
+
+    @pytest.mark.parametrize(
+        "exp",
+        [exp for exp in EXPERIMENTS if exp.full is not None],
+        ids=lambda exp: exp.name,
+    )
+    def test_full_surface_runs_what_full_flag_runs(
+        self, exp, monkeypatch, no_repro_env
+    ):
+        from repro.goldens import surfaces
+
+        calls = _spy_on(monkeypatch, exp.name)
+        with pytest.raises(_Ran):
+            cli.main([exp.name, "--full"])
+        spied = dataclasses.replace(exp, run=_spy(calls))
+        surface = surfaces._experiment_surface(spied, full=True)
+        assert surface.name == f"{exp.name}@full"
+        with pytest.raises(_Ran):
+            surface.generate()
+        assert calls == [dict(exp.full), dict(exp.full)]
 
     def test_update_refuses_a_run_whose_expectation_fails(
         self, monkeypatch, tmp_path

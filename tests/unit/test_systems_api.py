@@ -116,25 +116,6 @@ class TestWorkloadBase:
 
 
 class TestScales:
-    def test_sweep_scale_env(self, monkeypatch):
-        from repro.experiments import figure2
-        from repro.experiments.common import (
-            SCALE_FULL,
-            SCALE_QUICK,
-            scale_preset,
-            sweep_scale,
-        )
-
-        monkeypatch.delenv("REPRO_FULL", raising=False)
-        assert sweep_scale() == SCALE_QUICK
-        assert scale_preset(figure2.QUICK, figure2.FULL) is figure2.QUICK
-        monkeypatch.setenv("REPRO_FULL", "1")
-        assert sweep_scale() == SCALE_FULL
-        assert scale_preset(figure2.QUICK, figure2.FULL)["sizes"][-1] == 129
-        assert scale_preset(figure2.QUICK, None) is figure2.QUICK
-        monkeypatch.setenv("REPRO_FULL", "0")
-        assert sweep_scale() == SCALE_QUICK
-
     def test_quick_sizes_subset_of_full(self):
         from repro.experiments import figure2, figure8
 

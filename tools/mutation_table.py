@@ -12,7 +12,7 @@ with every ``REPRO_*`` variable scrubbed, and restores the file:
      checks this table's anchors (it would fail on every applied mutant)
 
 One row per mutant: ``caught`` / ``passed`` per tier.  Exit 1 if a mutant
-survives every tier.  About 35 s per mutant, so this is a measuring stick
+survives every tier.  Under a minute per mutant, so this is a measuring stick
 to run by hand (``make mutation-table``), not part of tier-1 or CI.
 DESIGN.md section 6 records the run that retired the sharded kernel.
 """
@@ -261,7 +261,6 @@ def run_table(mutants: list[Mutant], logs: pathlib.Path | None = None) -> int:
             REPO_ROOT, tree,
             ignore=shutil.ignore_patterns(
                 ".git", "__pycache__", ".hypothesis", ".pytest_cache",
-                ".benchmarks",
             ),
         )
         env["PYTHONPATH"] = str(tree / "src")
